@@ -24,17 +24,19 @@ if [ -z "$PERF_OUT_DIR" ]; then
     trap 'rm -rf "$PERF_OUT_DIR"' EXIT
 fi
 
-echo "== perf gate: committed trajectory covers serial + sharded engines =="
+echo "== perf gate: committed trajectory covers the required benches =="
 # compare() gates every bench present in the committed file, so losing
-# an entry from BENCH_engine.json silently narrows the gate; pin the
-# 64-tile fig9 pair (serial and 4-shard) as mandatory.
+# an entry silently narrows the gate; pin the 64-tile fig9 pair (serial
+# and 4-shard) and the figS serving point as mandatory.
 python - <<'PY'
 import json
-doc = json.load(open("BENCH_engine.json"))
-missing = [n for n in ("fig9_64_serial", "fig9_64_sharded")
-           if n not in doc.get("benches", {})]
-assert not missing, f"BENCH_engine.json lost required entries: {missing}"
-print("fig9_64_serial + fig9_64_sharded present")
+required = {"BENCH_engine.json": ("fig9_64_serial", "fig9_64_sharded"),
+            "BENCH_figs.json": ("figS_quick",)}
+for fname, names in required.items():
+    doc = json.load(open(fname))
+    missing = [n for n in names if n not in doc.get("benches", {})]
+    assert not missing, f"{fname} lost required entries: {missing}"
+    print(f"{fname}: {' + '.join(names)} present")
 PY
 
 echo "== perf gate: quick benchmarks vs committed trajectory =="

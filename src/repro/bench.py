@@ -8,7 +8,8 @@ and emits two schema-versioned JSON files:
     the engine trajectory: churn + fig9 quick, the recorded
     pre-optimization *seed* baseline, and the speedup against it
 ``BENCH_figs.json``
-    per-figure quick-mode wall-clock (fig6, fig8, fig9)
+    per-figure quick-mode wall-clock (fig6, fig8, fig9, and one figS
+    serving point)
 
 Both files carry an environment fingerprint and, for every benchmark,
 the **exact** number of simulated events processed.  The event count is
@@ -115,6 +116,11 @@ def _fig9_quick() -> None:
     from repro.core.exps.fig9 import Fig9Params, run_fig9
     run_fig9(Fig9Params(trace="find", tile_counts=[1, 2], runs=1,
                         find_dirs=4, find_files=6, sqlite_txns=4))
+
+
+def _figs_quick() -> None:
+    from repro.core.exps.figs import FigSPoint, run_figs_point
+    run_figs_point(FigSPoint("m3v", 0.3, requests=30))
 
 
 def _fig9_64(shards: int = 0) -> None:
@@ -254,6 +260,7 @@ def run_figs_bench(runs: int = 3) -> Dict[str, Any]:
         "fig6_quick": measure("fig6_quick", _fig6_quick, runs),
         "fig8_quick": measure("fig8_quick", _fig8_quick, runs),
         "fig9_quick": measure("fig9_quick", _fig9_quick, runs),
+        "figS_quick": measure("figS_quick", _figs_quick, runs),
     }
     return {
         "schema": SCHEMA,

@@ -26,11 +26,18 @@ saturation.  With ``protection=False`` the same topology runs
 blocking sends and unbounded queues: open-loop overload then grows
 queues without bound and goodput collapses past saturation.
 
+The receive loops are event-driven, as in the paper: an idle sink,
+and an idle balancer whose shard queues are empty, call
+``api.block()`` and are woken by the vDTU's core request when a
+message arrives (section 3.7).  Only waits that no core request
+signals still sleep: the gateways' open-loop arrival timers, credit
+returns under backpressure, and the MPMC queue poll.
+
 On M³x every block/wake of the multiplexed KV, gateway and sink
 activities takes the centralized controller slow path; under overload
-the controller serializes the whole fleet's scheduling, so M³x shows
-the slow-path collapse even with protection enabled (section 2.2's
-remote-multiplexing cost, now SLO-denominated).
+the controller serializes the whole fleet's scheduling, so M³x falls
+behind M³v in goodput and tail latency even with protection enabled
+(section 2.2's remote-multiplexing cost, now SLO-denominated).
 
 The ``mpmc`` backend swaps the G per-pair gateway→balancer DTU
 channels for one Virtual-Link MPMC queue
@@ -218,6 +225,7 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
             progressed = False
             if use_mpmc:
                 for _ in range(G):
+                    # a VL queue raises no vDTU core request: poll it
                     req = yield from vlq.try_get(api)
                     if req is None:
                         break
@@ -267,6 +275,13 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
             if progressed:
                 idle = 0
                 continue
+            if not use_mpmc and not any(len(q) for q in queues):
+                # idle: a gateway's next message raises a core request
+                # that wakes us (section 3.7)
+                yield from api.block()
+                continue
+            # a credit return (and a VL enqueue) raises no core request,
+            # so waiting on one is a short sleep and a re-poll
             idle = min(idle + 1, 4)
             yield from api.sleep_us(2.0 * (1 << idle))
 
@@ -373,7 +388,6 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
         keys = [f"sink{g}_rep{s}" for s in range(S)]
         yield from rendezvous(api, env, *keys)
         reps = [env[f"sink{g}_rep{s}"] for s in range(S)]
-        idle = 0
         while True:
             got = False
             for ep in reps:
@@ -389,11 +403,10 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
                 seen["done"].add(req.uid)
                 acct["completed"] += 1
                 acct["t_last"] = max(acct["t_last"], now)
-            if got:
-                idle = 0
-                continue
-            idle = min(idle + 1, 4)
-            yield from api.sleep_us(2.0 * (1 << idle))
+            if not got:
+                # refused while any endpoint holds an unread message,
+                # so re-sweeping after it returns loses no wakeup
+                yield from api.block()
 
     # -- assemble ------------------------------------------------------------
 

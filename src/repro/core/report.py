@@ -260,7 +260,7 @@ def shape_checks(results: Dict) -> List[str]:
             if both is not None and both >= 1.5:
                 expect(ok_v[both]["goodput_rps"]
                        > m3x[both]["goodput_rps"],
-                       "figS: M3x slow path collapses under overload")
+                       "figS: M3v goodput beats the M3x slow path under overload")
                 expect(ok_v[both]["p99_us"] < m3x[both]["p99_us"],
                        "figS: M3v tail latency beats M3x under overload")
 

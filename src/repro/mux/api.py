@@ -383,7 +383,15 @@ class ActivityApi:
         self.act.deadline_ps = deadline_ps
 
     def block(self) -> Generator:
-        """Block until a message arrives for this activity."""
+        """Block until a message arrives for this activity.
+
+        TileMux and M3x refuse the block while *any* receive endpoint
+        of the activity holds an unread message, and then return at
+        once.  A return therefore means "something may have arrived",
+        not "a message is on the endpoint you care about": callers
+        re-fetch in a loop and block again when the sweep comes up
+        empty.  The refusal is what makes that loop lose no wakeup.
+        """
         yield TmCall("block", {})
 
     def yield_cpu(self) -> Generator:

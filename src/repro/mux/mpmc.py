@@ -29,9 +29,10 @@ protected memory plane delivers or the machine checks.
 
 **Scheduling caveat**: ``get`` parks the calling activity on a
 simulation event while it *holds the core*; use it only from an
-activity that does not share its tile (the figS balancer), and
-``get_polled`` — fetch-or-sleep, like the DTU library's poll loop —
-from multiplexed tiles.
+activity that does not share its tile.  A Virtual-Link queue raises no
+vDTU core request, so nothing can ``block`` on it: a consumer that must
+keep the core free polls ``try_get`` between sleeps, as the figS
+balancer does.
 """
 
 from __future__ import annotations
@@ -149,11 +150,3 @@ class VirtualLinkQueue:
         if self._ctr_gets is not None:
             self._ctr_gets.add()
         return item
-
-    def get_polled(self, api, poll_gap_us: float = 5.0) -> Generator:
-        """Dequeue by fetch-or-sleep, safe on multiplexed tiles."""
-        while True:
-            item = yield from self.try_get(api)
-            if item is not None:
-                return item
-            yield from api.sleep_us(poll_gap_us)

@@ -561,6 +561,20 @@ class TileMux:
         self._own_msgs = self.vdtu.cur_msgs
         yield from self._restore_act(prev_act)
 
+    def _in_vdtu_cmd(self, act: Activity) -> bool:
+        """Whether ``act`` is suspended inside a command of this tile's
+        vDTU.  A running or preempted activity can stop at any yield,
+        including one halfway through a command whose frame is bound to
+        this vDTU; moved to another tile, it would finish the command
+        against endpoints the migration just invalidated here."""
+        gen = act.gen
+        while gen is not None:
+            frame = getattr(gen, "gi_frame", None)
+            if frame is not None and frame.f_locals.get("self") is self.vdtu:
+                return True
+            gen = getattr(gen, "gi_yieldfrom", None)
+        return False
+
     def _handle_ctrl_request(self, msg) -> Generator:
         req: TmuxReq = msg.data
         ok, error = True, ""
@@ -613,6 +627,9 @@ class TileMux:
                                     f"({act.state.value})")
             elif getattr(act, "_sleeping", False):
                 ok, error = False, f"activity {act.act_id} is sleeping"
+            elif self._in_vdtu_cmd(act):
+                ok, error = False, (f"activity {act.act_id} is inside a "
+                                    f"vDTU command")
             else:
                 if act is self.current:
                     # we are inside this activity's dispatch interrupt

@@ -61,7 +61,7 @@ def test_written_files_roundtrip(tmp_path):
     with open(paths[0]) as fh:
         doc = json.load(fh)
     assert bench.validate(doc) == []
-    for name in ("fig6_quick", "fig8_quick", "fig9_quick"):
+    for name in ("fig6_quick", "fig8_quick", "fig9_quick", "figS_quick"):
         assert doc["benches"][name]["events"] > 0
 
 

@@ -196,6 +196,42 @@ def test_migrate_refuses_ep_range_collision():
     assert first.tile_id == 1
 
 
+def test_migrate_refuses_activity_inside_vdtu_command():
+    # a worker streaming DMA writes is always inside a vDTU command at
+    # an interrupt window; moved mid-command it would finish the command
+    # against the source tile's endpoints, which the migration has just
+    # invalidated.  Once it computes outside any command, it may move.
+    plat = _build()
+    ctrl = plat.controller
+    env, readback = {}, []
+
+    def worker(api):
+        yield from _rendezvous(api, env, "mem")
+        for i in range(60):
+            yield from api.write(env["mem"], i * 64, bytes([i]) * 64)
+        env["written"] = True
+        yield from api.compute(5_000_000)
+        for i in range(60):
+            readback.append((yield from api.read(env["mem"], i * 64, 64)))
+
+    w = plat.run_proc(ctrl.spawn("w", 1, worker))
+    region = ctrl.phys.alloc(60 * 64)
+    env["mem"] = plat.run_proc(ctrl.wire_memory(
+        w, region.mem_tile, region.base, region.size))
+    refused = 0
+    while "written" not in env:
+        plat.sim.run(until=plat.sim.now + 7_000_000)
+        if "written" not in env:
+            assert plat.run_proc(ctrl.migrate(w.act_id, 2)) is False
+            refused += 1
+    assert refused > 0 and w.tile_id == 1
+    # (each refusal leaks tile 2's reserved EP range, so move to tile 3)
+    assert plat.run_proc(ctrl.migrate(w.act_id, 3)) is True
+    plat.sim.run_until_event(w.exit_event, limit=LIMIT)
+    assert w.tile_id == 3
+    assert readback == [bytes([i]) * 64 for i in range(60)]
+
+
 # -- the rebalancer -----------------------------------------------------------
 
 def test_rebalancer_evacuates_quarantined_tile():

@@ -10,8 +10,8 @@ Five layers:
 * the Virtual-Link MPMC queue: FIFO order, shared-capacity rejection,
   CAS contention serialization;
 * figS smoke points: conservation (every request resolves exactly
-  once) on both systems, protection counters, and the reduced curve's
-  shape hooks;
+  once) on both systems, protection counters, idle receive loops that
+  block instead of sleep-polling, and the reduced curve's shape hooks;
 * regressions for the scheduler bugs this PR fixed: the m3v TileMux
   averted-lost-wakeup park and the M3x sleep/wakeup notify protocol.
 """
@@ -23,6 +23,7 @@ from repro.api import SystemConfig, build_system
 from repro.core.exps.figs import FigSParams, FigSPoint, figs_points, \
     reduce_figs, run_figs_point
 from repro.core.report import shape_checks
+from repro.mux.api import ActivityApi
 from repro.mux.mpmc import VirtualLinkQueue
 from repro.services.serving import (
     AdmissionQueue,
@@ -229,27 +230,6 @@ def test_vlq_contention_serializes_at_home_tile():
     assert vlq._occupy() == 40_000 + rt
 
 
-def test_vlq_get_polled_on_shared_tile():
-    plat = _vlq_platform()
-    vlq = VirtualLinkQueue(plat, capacity=4, name="s")
-    got = []
-
-    def producer(api):
-        yield from api.sleep_us(30.0)
-        yield from vlq.put(api, "x")
-
-    def consumer(api):
-        item = yield from vlq.get_polled(api, poll_gap_us=5.0)
-        got.append(item)
-
-    ctrl = plat.controller
-    # consumer shares tile 2 with the producer: must not hold the core
-    plat.run_proc(ctrl.spawn("p", 2, producer))
-    c = plat.run_proc(ctrl.spawn("c", 2, consumer))
-    plat.sim.run_until_event(c.exit_event, limit=LIMIT)
-    assert got == ["x"]
-
-
 # -- figS smoke ---------------------------------------------------------------
 
 def _smoke_pt(**kw):
@@ -289,6 +269,40 @@ def test_figs_mpmc_backend_runs():
     res = run_figs_point(_smoke_pt(system="m3v", load=1.0, backend="mpmc",
                                    fault_rate=0.0))
     assert res["completed"] + res["shed"] + res["failed"] == 2 * 6
+
+
+def _count_waits(monkeypatch):
+    """Count ``sleep_us``/``block`` calls per activity role (the
+    activity name without its index: lb, kv, gw, sink)."""
+    calls = {}
+    for op in ("sleep_us", "block"):
+        orig = getattr(ActivityApi, op)
+
+        def counted(api, *args, _orig=orig, _op=op):
+            key = (api.act.name.rstrip("0123456789"), _op)
+            calls[key] = calls.get(key, 0) + 1
+            return _orig(api, *args)
+
+        monkeypatch.setattr(ActivityApi, op, counted)
+    return calls
+
+
+@pytest.mark.parametrize("system,load", [("m3v", 0.3), ("m3x", 2.0)])
+def test_figs_receive_loops_block_instead_of_sleep_polling(monkeypatch,
+                                                           system, load):
+    # idle sinks and an idle balancer block until a core request wakes
+    # them; the balancer sleeps only while a shard queue waits for a
+    # credit, and every such wait follows a backpressure event
+    calls = _count_waits(monkeypatch)
+    pt = _smoke_pt(system=system, load=load, requests=10)
+    res = run_figs_point(pt)
+    assert res["completed"] + res["shed"] + res["failed"] == 2 * 10
+    assert calls.get(("sink", "sleep_us"), 0) == 0
+    assert calls.get(("sink", "block"), 0) > 0
+    assert calls.get(("lb", "block"), 0) > 0
+    assert calls.get(("lb", "sleep_us"), 0) <= res["backpressure"]
+    # same seed, same point: the event-driven loops stay deterministic
+    assert run_figs_point(pt) == res
 
 
 def test_figs_points_cover_all_arms():
