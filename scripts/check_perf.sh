@@ -26,11 +26,11 @@ fi
 
 echo "== perf gate: committed trajectory covers the required benches =="
 # compare() gates every bench present in the committed file, so losing
-# an entry silently narrows the gate; pin the 64-tile fig9 pair (serial
-# and 4-shard) and the figS serving point as mandatory.
+# an entry silently narrows the gate; pin the 64-tile fig9 point and
+# the figS serving point as mandatory.
 python - <<'PY'
 import json
-required = {"BENCH_engine.json": ("fig9_64_serial", "fig9_64_sharded"),
+required = {"BENCH_engine.json": ("fig9_64_serial",),
             "BENCH_figs.json": ("figS_quick",)}
 for fname, names in required.items():
     doc = json.load(open(fname))

@@ -18,7 +18,6 @@ from repro.api.config import (
     SYSTEM_KINDS,
     SchedSpec,
     ServingSpec,
-    ShardSpec,
     SystemConfig,
     TraceSpec,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "SYSTEM_KINDS",
     "SchedSpec",
     "ServingSpec",
-    "ShardSpec",
     "System",
     "SystemConfig",
     "TraceSpec",

@@ -24,27 +24,8 @@ from repro.tiles import BOOM, CoreCosts, ROCKET
 SYSTEM_KINDS = ("m3v", "m3", "m3x", "linux")
 
 __all__ = ["FaultSpec", "MetricsSpec", "PlacementSpec", "SYSTEM_KINDS",
-           "SchedSpec", "ServingSpec", "ShardSpec", "SystemConfig",
+           "SchedSpec", "ServingSpec", "SystemConfig",
            "TraceSpec"]
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Conservative parallel DES across tile shards
-    (:mod:`repro.sim.parallel`).
-
-    ``n`` is the shard count (0 keeps the serial engine unless
-    ``REPRO_SHARDS`` overrides); ``policy`` partitions tiles ("block"
-    keeps contiguous tile ids together, "modulo" stripes them).  The
-    lookahead bound is always derived from the config's NoC parameters.
-    The executor backend and strict causality checking remain
-    env-selected (``REPRO_SHARD_BACKEND``, ``REPRO_SHARD_STRICT``)
-    because they do not change simulation results — only how the
-    deterministic merge order is produced and policed.
-    """
-
-    n: int = 0
-    policy: str = "block"
 
 
 @dataclass(frozen=True)
@@ -142,7 +123,6 @@ class SystemConfig:
     metrics: Optional[MetricsSpec] = None
     recovery: Optional[RecoveryPolicy] = None
     faults: Optional[FaultSpec] = None
-    shards: Optional[ShardSpec] = None
     serving: Optional[ServingSpec] = None
     # TileMux scheduling (m3v/m3 only) and adaptive placement (m3v only)
     sched: Optional[SchedSpec] = None
@@ -173,9 +153,6 @@ class SystemConfig:
             timeslice_us=self.timeslice_us,
             core_overrides=dict(self.core_overrides),
             dtu_overrides=dict(self.dtu_overrides),
-            shards=self.shards.n if self.shards is not None else 0,
-            shard_policy=(self.shards.policy if self.shards is not None
-                          else "block"),
             sched=self.sched,
             placement=self.placement,
         )

@@ -26,9 +26,6 @@ class EnvOverrides:
     """Raw environment values, '' where unset (see ``envcfg.ENV_VARS``)."""
 
     scheduler: str = ""       # REPRO_SCHEDULER (event queue)
-    shards: str = ""          # REPRO_SHARDS
-    shard_backend: str = ""   # REPRO_SHARD_BACKEND
-    shard_strict: str = ""    # REPRO_SHARD_STRICT
     noc_batch: str = ""       # REPRO_NOC_BATCH
     sched: str = ""           # REPRO_SCHED (TileMux policy)
     bench_handicap_s: str = ""  # REPRO_BENCH_HANDICAP_S
@@ -39,9 +36,6 @@ def env_overrides() -> EnvOverrides:
     snap = envcfg.snapshot()
     return EnvOverrides(
         scheduler=snap["REPRO_SCHEDULER"],
-        shards=snap["REPRO_SHARDS"],
-        shard_backend=snap["REPRO_SHARD_BACKEND"],
-        shard_strict=snap["REPRO_SHARD_STRICT"],
         noc_batch=snap["REPRO_NOC_BATCH"],
         sched=snap["REPRO_SCHED"],
         bench_handicap_s=snap["REPRO_BENCH_HANDICAP_S"],

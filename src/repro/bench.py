@@ -123,14 +123,10 @@ def _figs_quick() -> None:
     run_figs_point(FigSPoint("m3v", 0.3, requests=30))
 
 
-def _fig9_64(shards: int = 0) -> None:
+def _fig9_64() -> None:
     from repro.core.exps.fig9 import Fig9Point, run_fig9_point
     run_fig9_point(Fig9Point("m3v", 64, trace="find", runs=1,
-                             find_dirs=2, find_files=3, shards=shards))
-
-
-def _fig9_64_sharded() -> None:
-    _fig9_64(shards=4)
+                             find_dirs=2, find_files=3))
 
 
 # -- measurement ---------------------------------------------------------------
@@ -201,8 +197,6 @@ def fingerprint() -> Dict[str, Any]:
         "hashseed": os.environ.get("PYTHONHASHSEED", ""),
         "scheduler": engine.default_scheduler(),
         "noc_batch": envcfg.raw("REPRO_NOC_BATCH", "1"),
-        "shards": envcfg.raw("REPRO_SHARDS"),
-        "shard_backend": envcfg.raw("REPRO_SHARD_BACKEND"),
     }
 
 
@@ -210,29 +204,15 @@ def fingerprint() -> Dict[str, Any]:
 
 def run_engine_bench(runs: int = 3) -> Dict[str, Any]:
     """The engine trajectory: churn + fig9 quick vs the seed baseline,
-    plus the 64-tile scaling point serial and sharded (4 shards).
-
-    The serial/sharded pair shares an identical event count — the
-    conservative parallel engine's merge order is provably the serial
-    order — so the gate holds both to exact-work equality.  On a
-    single-core host (this container: the fingerprint records ``cpus``)
-    the sharded run cannot be faster than serial; the recorded
-    ``fig9_64_parallel`` ratio is the honest overhead/benefit of the
-    sharded engine on *this* machine, and the gate only defends each
-    entry's own committed throughput.
-    """
+    plus the 64-tile scaling point."""
     benches = {
         "engine_churn": measure("engine_churn", churn_workload, runs),
         "fig9_quick": measure("fig9_quick", _fig9_quick, runs),
         "fig9_64_serial": measure("fig9_64_serial", _fig9_64, runs),
-        "fig9_64_sharded": measure("fig9_64_sharded", _fig9_64_sharded,
-                                   runs),
     }
     base = SEED_BASELINE["fig9_quick"]
     wall = benches["fig9_quick"]["wall_s"]
     speedup = {
-        "fig9_64_parallel": round(benches["fig9_64_serial"]["wall_s"]
-                                  / benches["fig9_64_sharded"]["wall_s"], 2),
         # identical simulated work divided by wall time on both sides —
         # the honest cross-engine comparison (see module docstring)
         "fig9_quick_wall": round(base["wall_s"] / wall, 2),
@@ -318,31 +298,15 @@ def validate(doc: Dict[str, Any]) -> List[str]:
 
 
 def compare(committed: Dict[str, Any], fresh: Dict[str, Any],
-            threshold: float = 0.25,
-            notes: Optional[List[str]] = None) -> List[str]:
+            threshold: float = 0.25) -> List[str]:
     """Regression gate: ``fresh`` against the ``committed`` trajectory.
 
     * simulated-event counts must match exactly (deterministic work);
     * throughput may not drop more than ``threshold`` below the
       committed value (wall-clock noise tolerance — improvements and
-      anything within the band pass);
-    * on a multi-core host the sharded engine must not run slower than
-      serial; on a single-core host that ratio is physically meaningless
-      (no parallelism to win), so it is only *annotated* via ``notes``.
+      anything within the band pass).
     """
     problems = list(validate(fresh))
-    sp = fresh.get("speedup", {}).get("fig9_64_parallel")
-    if fresh.get("kind") == "engine" and sp is not None:
-        cpus = fresh.get("fingerprint", {}).get("cpus") or 0
-        if cpus > 1:
-            if sp < 1.0 - threshold:
-                problems.append(
-                    f"fig9_64_parallel: sharded engine {sp}x vs serial on a "
-                    f"{cpus}-cpu host (threshold {1.0 - threshold:.2f}x)")
-        elif notes is not None:
-            notes.append(
-                f"fig9_64_parallel speedup {sp}x recorded but not gated: "
-                f"single-cpu host, sharded cannot beat serial here")
     for name, base in committed.get("benches", {}).items():
         cur = fresh.get("benches", {}).get(name)
         if cur is None:
@@ -365,8 +329,7 @@ def compare(committed: Dict[str, Any], fresh: Dict[str, Any],
 
 
 def check_against(committed_dir: str, fresh_dir: str,
-                  threshold: float = 0.25,
-                  notes: Optional[List[str]] = None) -> List[str]:
+                  threshold: float = 0.25) -> List[str]:
     """Compare every BENCH file present in ``committed_dir``."""
     problems = []
     for fname in (ENGINE_FILE, FIGS_FILE):
@@ -382,11 +345,8 @@ def check_against(committed_dir: str, fresh_dir: str,
             base = json.load(fh)
         with open(fresh_path) as fh:
             fresh = json.load(fh)
-        fnotes: List[str] = []
         problems.extend(f"{fname}: {p}"
-                        for p in compare(base, fresh, threshold, notes=fnotes))
-        if notes is not None:
-            notes.extend(f"{fname}: {n}" for n in fnotes)
+                        for p in compare(base, fresh, threshold))
     return problems
 
 
@@ -411,11 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for path in paths:
         print(f"wrote {path}")
     if args.against:
-        notes: List[str] = []
-        problems = check_against(args.against, args.out_dir, args.threshold,
-                                 notes=notes)
-        for n in notes:
-            print(f"note: {n}")
+        problems = check_against(args.against, args.out_dir, args.threshold)
         if problems:
             print("PERF GATE FAILED:")
             for p in problems:

@@ -12,8 +12,7 @@ core-multiplexing claim actually gets stressed.  Memory shape scales
 with the tile count past 12 tiles (each tile needs its ~8 MiB activity
 window plus a per-tile m3fs image); the 1–12-tile points keep the
 paper's exact 2×64 MiB shape so their event counts stay comparable
-across the BENCH trajectory.  ``shards`` runs the point on the
-conservative parallel engine (:mod:`repro.sim.parallel`).
+across the BENCH trajectory.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.api import ShardSpec, SystemConfig, build_system
+from repro.api import SystemConfig, build_system
 from repro.apps.traceplayer import TracePlayer
 from repro.core.platform import PlatformConfig
 from repro.posix.vfs import M3vVfs
@@ -46,7 +45,6 @@ class Fig9Params:
     find_files: int = 40
     sqlite_txns: int = 32
     fs_blocks: int = 512
-    shards: int = 0                # conservative parallel DES shard count
 
     def make_trace(self):
         if self.trace == "find":
@@ -56,7 +54,7 @@ class Fig9Params:
         raise ValueError(f"unknown trace {self.trace!r}")
 
 
-def extended_params(quick: bool = True, shards: int = 0,
+def extended_params(quick: bool = True,
                     tile_counts: List[int] = None) -> Fig9Params:
     """The 64+-tile sweep, ``--quick``-compatible by default.
 
@@ -68,8 +66,8 @@ def extended_params(quick: bool = True, shards: int = 0,
                   else EXTENDED_TILE_COUNTS)
     if quick:
         return Fig9Params(tile_counts=counts, runs=1, find_dirs=2,
-                          find_files=3, sqlite_txns=4, shards=shards)
-    return Fig9Params(tile_counts=counts, shards=shards)
+                          find_files=3, sqlite_txns=4)
+    return Fig9Params(tile_counts=counts)
 
 
 def gem5_config(n_tiles: int) -> PlatformConfig:
@@ -92,7 +90,7 @@ def _mem_shape(n_tiles: int):
     return n_mem, max(64 * _MIB, dram)
 
 
-def gem5_sysconfig(system: str, n_tiles: int, shards: int = 0) -> SystemConfig:
+def gem5_sysconfig(system: str, n_tiles: int) -> SystemConfig:
     n_mem, dram = _mem_shape(n_tiles)
     # The controller wires one send EP per tile above EP_DYN_BASE; past
     # ~125 tiles that outgrows the Table-1 128-entry register file, so
@@ -104,8 +102,7 @@ def gem5_sysconfig(system: str, n_tiles: int, shards: int = 0) -> SystemConfig:
     return SystemConfig(kind=system, n_proc_tiles=n_tiles,
                         proc_core=X86_GEM5, controller_core=X86_GEM5,
                         n_mem_tiles=n_mem, dram_bytes=dram,
-                        dtu_overrides=overrides,
-                        shards=ShardSpec(n=shards) if shards else None)
+                        dtu_overrides=overrides)
 
 
 def _populate(fs, p: Fig9Params) -> None:
@@ -119,7 +116,7 @@ def _populate(fs, p: Fig9Params) -> None:
 
 def _throughput(system: str, n_tiles: int, p: Fig9Params) -> float:
     """Aggregate runs/s over ``n_tiles`` tiles."""
-    plat = build_system(gem5_sysconfig(system, n_tiles, shards=p.shards))
+    plat = build_system(gem5_sysconfig(system, n_tiles))
     trace = p.make_trace()
     results: Dict[int, Dict[str, int]] = {}
     players = []
@@ -172,13 +169,12 @@ class Fig9Point:
     find_files: int = 40
     sqlite_txns: int = 32
     fs_blocks: int = 512
-    shards: int = 0
 
 
 def fig9_points(params: Fig9Params = None) -> List[Fig9Point]:
     p = params or Fig9Params()
     return [Fig9Point(system, n, p.trace, p.runs, p.find_dirs,
-                      p.find_files, p.sqlite_txns, p.fs_blocks, p.shards)
+                      p.find_files, p.sqlite_txns, p.fs_blocks)
             for system in ("m3v", "m3x") for n in p.tile_counts]
 
 
@@ -186,8 +182,7 @@ def run_fig9_point(pt: Fig9Point) -> float:
     """Aggregate runs/s for one (system, tile count) curve point."""
     p = Fig9Params(tile_counts=[pt.n_tiles], trace=pt.trace, runs=pt.runs,
                    find_dirs=pt.find_dirs, find_files=pt.find_files,
-                   sqlite_txns=pt.sqlite_txns, fs_blocks=pt.fs_blocks,
-                   shards=pt.shards)
+                   sqlite_txns=pt.sqlite_txns, fs_blocks=pt.fs_blocks)
     return _throughput(pt.system, pt.n_tiles, p)
 
 

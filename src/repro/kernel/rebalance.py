@@ -8,12 +8,13 @@ the ``tileN/sched/ready_depth`` StatRegistry gauge on sim time) and at
 the controller's quarantine set, and live-migrates activities off hot
 or quarantined tiles via :meth:`repro.kernel.controller.Controller.migrate`.
 
-Determinism: every input the rebalancer consumes lives in the
-controller's shard — quarantine state, the LOAD beacon mailbox (fed by
-NoC messages), and its own cooldown table.  It never reads another
-shard's mux or gauge state directly (REP004), so its decisions are
-identical under serial and sharded execution.  Scans walk tiles and
-activities in sorted-id order for the same reason.
+Determinism and isolation: every input the rebalancer consumes lives
+on the controller tile — quarantine state, the LOAD beacon mailbox (fed
+by NoC messages), and its own cooldown table.  It never reads another
+tile's mux or gauge state directly, just as the real controller can
+only learn about a tile through messages.  Scans walk tiles and
+activities in sorted-id order so decisions never depend on hash or
+insertion order.
 
 The policy itself is deliberately simple (the figS experiment measures
 the *mechanism*): evacuate quarantined tiles first, then move one
@@ -113,8 +114,8 @@ class Rebalancer:
         """Activity ids the *controller* places on ``tile``, sorted.
 
         Uses the controller's own placement table (not the activities'
-        live state, which belongs to other shards) so the scan order is
-        shard-independent.
+        live state, which belongs to other tiles), as the controller
+        would.
         """
         now = self.sim.now
         return [act_id for act_id, tid

@@ -14,7 +14,7 @@ instead of a code fork.  Four disciplines ship:
   activities without a deadline run FIFO behind all deadlined ones;
 * ``lottery`` — proportional-share lottery scheduling over per-activity
   ``tickets``; the draw stream is tile-local and seeded, so results are
-  independent of hash seed and shard count;
+  independent of hash seed;
 * ``autotune`` — round-robin order with a per-activity timeslice that
   adapts to observed behaviour: an activity that burns consecutive full
   slices (CPU-bound) has its slice doubled to amortize context-switch
@@ -25,8 +25,7 @@ All policies expose the ``deque`` verbs TileMux already used
 (``append``/``popleft``/``remove``/``in``/``len``/truthiness) plus the
 scheduling hooks (``slice_ps``/``on_preempt``/``on_trap``), so the hot
 path stays the same shape for the default policy.  Policies are
-tile-local state: picks happen inside the owning tile's shard, never
-across shards (REP004).
+tile-local state: only the owning tile's TileMux picks from them.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ class LotteryPolicy(SchedPolicy):
 
     The RNG is a private, seeded stream keyed on (tile, spec.seed):
     draws depend only on the deterministic sequence of picks on this
-    tile, never on hash seed or shard layout.
+    tile, never on hash seed.
     """
 
     name = "lottery"

@@ -53,8 +53,8 @@ class NocParams:
         return (wire_bytes * PS_PER_NS + self.bytes_per_ns - 1) // self.bytes_per_ns
 
     def lookahead_ps(self) -> int:
-        """Conservative cross-tile lookahead bound for the parallel
-        engine (:mod:`repro.sim.parallel`).
+        """Minimum cross-tile latency: the conservative lookahead a
+        tile-parallel engine could use.
 
         A packet crossing tiles traverses at least the injection and
         the ejection link; each costs the serialization delay of a
@@ -62,7 +62,8 @@ class NocParams:
         does at time ``t`` can therefore reach another tile no earlier
         than ``t + lookahead_ps()``.  (Router hops and payload bytes
         only push arrivals later; contention pushes them later still.)
-        Derivation: DESIGN.md §15.
+        DESIGN.md §15 derives it and explains why the simulator stays
+        serial anyway.
         """
         per_link = self.transfer_ps(HEADER_BYTES) + self.hop_latency_ps
         return 2 * per_link
@@ -165,19 +166,7 @@ class NocFabric:
                         dst=packet.dst, pkt=packet.kind.value,
                         size=packet.size, pid=packet.pid)
         if not self.batch_hops:
-            # The lazy path's transfer Process touches the source-side
-            # links *and* the destination inbox, so on sharded runs it
-            # lives on the global lane (safe with every shard).
-            if sim.shard_plan is None:
-                return sim.process(self._transfer(packet),
-                                   name=f"pkt{packet.pid}")
-            prev = sim._active_shard
-            sim._active_shard = -1  # GLOBAL_SHARD
-            try:
-                return sim.process(self._transfer(packet),
-                                   name=f"pkt{packet.pid}")
-            finally:
-                sim._active_shard = prev
+            return sim.process(self._transfer(packet), name=f"pkt{packet.pid}")
 
         # Batched fast path: reserve every link on the route now and
         # schedule one arrival event at the accumulated time.
@@ -192,20 +181,7 @@ class NocFabric:
                 start = t
             link.busy_until = start + transfer
             t = start + transfer + hop
-        plan = sim.shard_plan
-        if plan is None:
-            arrival = _Arrival(sim, self, packet, wire)
-        else:
-            # Cross-shard injection is the conservative sync point: the
-            # arrival (and everything it triggers — deposit, core
-            # request, wakeup) belongs to the *destination* tile's
-            # shard, and its delay t - now carries at least the
-            # injection + ejection link cost, i.e. the lookahead bound
-            # the sharded queue's causality check enforces.
-            prev = sim._active_shard
-            sim._active_shard = plan.shard_of(packet.dst)
-            arrival = _Arrival(sim, self, packet, wire)
-            sim._active_shard = prev
+        arrival = _Arrival(sim, self, packet, wire)
         arrival.callbacks.append(arrival._arrive)
         arrival.succeed(None, delay=t - sim.now)
         return None

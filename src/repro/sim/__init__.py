@@ -28,13 +28,6 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.channel import Channel, ChannelClosed
-from repro.sim.parallel import (
-    GLOBAL_SHARD,
-    CausalityError,
-    ShardPlan,
-    ShardedEventQueue,
-    partition_tiles,
-)
 from repro.sim.stats import Counter, Histogram, StatRegistry, TimeWeighted
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -49,13 +42,8 @@ __all__ = [
     "Timeout",
     "Channel",
     "ChannelClosed",
-    "CausalityError",
     "Counter",
-    "GLOBAL_SHARD",
     "Histogram",
-    "ShardPlan",
-    "ShardedEventQueue",
     "StatRegistry",
     "TimeWeighted",
-    "partition_tiles",
 ]

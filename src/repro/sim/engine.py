@@ -55,15 +55,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from contextlib import contextmanager
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim import envcfg
-
-# Shard id of unpinned context (mirrors repro.sim.parallel.GLOBAL_SHARD;
-# duplicated as a literal because parallel imports this module).
-_GLOBAL_SHARD = -1
 
 
 class SimulationError(RuntimeError):
@@ -264,8 +259,7 @@ class Event:
     trigger run when the simulator pops the event off its queue.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "_defused",
-                 "shard")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "_defused")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -274,10 +268,6 @@ class Event:
         self._ok = True
         self._processed = False
         self._defused = False
-        # shard affinity: inherited from the creating context (the event
-        # being executed, or an explicit Simulator.shard_scope()); only
-        # the sharded queue reads it, serial queues ignore it
-        self.shard = sim._active_shard
 
     @property
     def triggered(self) -> bool:
@@ -515,23 +505,9 @@ class Process(Event):
 
 
 class Simulator:
-    """The event loop.  Owns simulated time and the pending-event queue.
+    """The event loop.  Owns simulated time and the pending-event queue."""
 
-    ``shards`` > 0 switches the queue to the conservative sharded
-    scheduler (:mod:`repro.sim.parallel`): events carry the shard of
-    the context that created them, per-shard lanes merge
-    deterministically on ``(time, seq)``, and cross-shard pushes inside
-    the lookahead window are flagged (or raised, with
-    ``shard_strict``).  ``shards=None`` (the default) consults the
-    ``REPRO_SHARDS`` environment variable, so any suite can be re-run
-    sharded without code changes.  The serial pop order is preserved
-    exactly — see DESIGN.md §15.
-    """
-
-    def __init__(self, start: int = 0, scheduler: Optional[str] = None,
-                 shards: Optional[int] = None, lookahead: Optional[int] = None,
-                 shard_strict: Optional[bool] = None,
-                 shard_backend: Optional[str] = None):
+    def __init__(self, start: int = 0, scheduler: Optional[str] = None):
         self.now: int = start
         self.scheduler = scheduler or _default_scheduler
         if self.scheduler not in _SCHEDULERS:
@@ -539,64 +515,12 @@ class Simulator:
                 f"unknown scheduler {self.scheduler!r} "
                 f"(choose from {sorted(_SCHEDULERS)})")
         self._active_process: Optional[Process] = None
-        self._active_shard: int = _GLOBAL_SHARD
-        self.shard_plan = None
-        self._shard_executor = None
-        if shards is None:
-            from repro.sim.parallel import shards_from_env
-
-            shards = shards_from_env()
-        if shards:
-            from repro.sim import parallel
-
-            self.shards = shards
-            self.shard_backend = (shard_backend or
-                                  parallel.backend_from_env())
-            strict = (parallel.strict_from_env() if shard_strict is None
-                      else shard_strict)
-            self._eq = parallel.ShardedEventQueue(
-                shards, base=self.scheduler,
-                lookahead=(lookahead if lookahead is not None
-                           else parallel.DEFAULT_LOOKAHEAD),
-                strict=strict)
-            self._eq.sim = self
-        else:
-            self.shards = 0
-            self.shard_backend = "inline"
-            self._eq = _SCHEDULERS[self.scheduler]()
+        self._eq = _SCHEDULERS[self.scheduler]()
         self.tracer = _default_tracer
         self.trace_id = (_default_tracer.register_sim()
                          if _default_tracer is not None else 0)
         self.metrics = _default_metrics
         self.profiler = _default_profiler
-
-    # -- sharding ------------------------------------------------------------
-
-    @contextmanager
-    def shard_scope(self, shard: int):
-        """Create events/processes under ``shard``'s affinity.
-
-        Platform assembly wraps each tile's construction in its shard's
-        scope; the NoC fabric scopes arrival events to the destination
-        tile.  A no-op (beyond the attribute swap) on serial runs.
-        """
-        prev = self._active_shard
-        self._active_shard = shard
-        try:
-            yield self
-        finally:
-            self._active_shard = prev
-
-    def set_shard_plan(self, plan) -> None:
-        """Install the tile→shard plan (and its lookahead bound)."""
-        self.shard_plan = plan
-        if plan is not None and self.shards:
-            self._eq.lookahead = plan.lookahead
-
-    @property
-    def shard_stats(self):
-        """Sharded-run counters, or None on serial runs."""
-        return self._eq.stats if self.shards else None
 
     # -- factories -----------------------------------------------------------
 
@@ -673,7 +597,6 @@ class Simulator:
         global _events_processed
         when, event = self._eq.pop()
         self.now = when
-        self._active_shard = event.shard
         _events_processed += 1
         tracer = self.tracer
         if tracer is not None:
@@ -695,7 +618,6 @@ class Simulator:
                 callback(event)
                 profiler.record(getattr(callback, "__self__", None),
                                 clock() - t0)
-        self._active_shard = _GLOBAL_SHARD
         if not event._ok and not event._defused:
             raise event._value
 
@@ -703,12 +625,7 @@ class Simulator:
         """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self.now:
             raise SimulationError(f"until={until} lies in the past (now={self.now})")
-        if self.shards:
-            if self.shard_backend == "threads" and self.metrics is None:
-                self._run_windows(until)
-            else:
-                self._run_sharded(until)
-        elif (self.tracer is None and self.metrics is None
+        if (self.tracer is None and self.metrics is None
                 and self.profiler is None
                 and type(self._eq) is CalendarEventQueue):
             self._run_plain(until)
@@ -720,14 +637,10 @@ class Simulator:
     def run_until_event(self, event: Event, limit: Optional[int] = None) -> Any:
         """Run until ``event`` triggers; returns its value.
 
-        ``limit`` guards against runaway simulations.  On sharded runs
-        this always uses the inline deterministic drain (the threads
-        backend has no bounded-by-event window shape).
+        ``limit`` guards against runaway simulations.
         """
         if event._value is _PENDING:
-            if self.shards:
-                self._run_until_sharded(event, limit)
-            elif (self.tracer is None and self.metrics is None
+            if (self.tracer is None and self.metrics is None
                     and self.profiler is None
                     and type(self._eq) is CalendarEventQueue):
                 self._run_until_plain(event, limit)
@@ -943,181 +856,6 @@ class Simulator:
                     raise event._value
         finally:
             _events_processed += n
-
-    # -- sharded drain loops --------------------------------------------------
-    #
-    # The inline sharded pair mirrors the hooked pair against the
-    # deterministic (time, seq) merge, additionally switching the
-    # active-shard context per event and accounting conservative
-    # windows.  _run_windows is the threads backend: it batches each
-    # window onto per-shard workers via the ThreadShardExecutor and
-    # falls back to the inline drain whenever a window contains
-    # global-lane work (which may touch any shard).
-
-    def _run_sharded(self, until: Optional[int],
-                     horizon: Optional[int] = None) -> None:
-        global _events_processed
-        q = self._eq
-        stats = q.stats
-        lookahead = q.lookahead
-        tracer = self.tracer
-        metrics = self.metrics
-        profiler = self.profiler
-        clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        window_end = None
-        wcount = 0
-        n = 0
-        per_shard: Dict[int, int] = {}
-        try:
-            while True:
-                when = q.peek()
-                if (when is None or (until is not None and when > until)
-                        or (horizon is not None and when >= horizon)):
-                    return
-                if window_end is None or when >= window_end:
-                    window_end = when + lookahead
-                    stats.windows += 1
-                    if wcount > stats.max_window_events:
-                        stats.max_window_events = wcount
-                    wcount = 0
-                when, event = q.pop()
-                self.now = when
-                shard = event.shard
-                self._active_shard = shard
-                n += 1
-                wcount += 1
-                per_shard[shard] = per_shard.get(shard, 0) + 1
-                if tracer is not None:
-                    tracer.emit(self, "evq_pop", cls=type(event).__name__)
-                if metrics is not None:
-                    metrics.on_step(self, event)
-                callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
-                if profiler is None:
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    profiler.on_step()
-                    for callback in callbacks:
-                        t0 = clock()
-                        callback(event)
-                        dt = clock() - t0
-                        profiler.record(getattr(callback, "__self__", None),
-                                        dt)
-                        profiler.record_shard(shard, dt)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            stats.events += n
-            if wcount > stats.max_window_events:
-                stats.max_window_events = wcount
-            stats.count_shards(per_shard)
-            if metrics is not None:
-                metrics.inc("sim/shards/violations", 0)  # surface even at 0
-                for s, cnt in per_shard.items():
-                    metrics.inc(f"sim/shards/{s}/events", cnt)
-            self._active_shard = _GLOBAL_SHARD
-            _events_processed += n
-
-    def _run_until_sharded(self, ev: Event, limit: Optional[int]) -> None:
-        global _events_processed
-        q = self._eq
-        stats = q.stats
-        tracer = self.tracer
-        metrics = self.metrics
-        profiler = self.profiler
-        clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        pending = _PENDING
-        n = 0
-        per_shard: Dict[int, int] = {}
-        try:
-            while ev._value is pending:
-                when = q.peek()
-                if when is None:
-                    raise SimulationError(
-                        "simulation starved before event triggered")
-                if limit is not None and when > limit:
-                    raise SimulationError(f"event did not trigger before t={limit}")
-                when, event = q.pop()
-                self.now = when
-                shard = event.shard
-                self._active_shard = shard
-                n += 1
-                per_shard[shard] = per_shard.get(shard, 0) + 1
-                if tracer is not None:
-                    tracer.emit(self, "evq_pop", cls=type(event).__name__)
-                if metrics is not None:
-                    metrics.on_step(self, event)
-                callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
-                if profiler is None:
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    profiler.on_step()
-                    for callback in callbacks:
-                        t0 = clock()
-                        callback(event)
-                        dt = clock() - t0
-                        profiler.record(getattr(callback, "__self__", None),
-                                        dt)
-                        profiler.record_shard(shard, dt)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            stats.events += n
-            stats.count_shards(per_shard)
-            if metrics is not None:
-                metrics.inc("sim/shards/violations", 0)  # surface even at 0
-                for s, cnt in per_shard.items():
-                    metrics.inc(f"sim/shards/{s}/events", cnt)
-            self._active_shard = _GLOBAL_SHARD
-            _events_processed += n
-
-    def _run_windows(self, until: Optional[int]) -> None:
-        global _events_processed
-        q = self._eq
-        stats = q.stats
-        profiler = self.profiler
-        clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        executor = self._shard_executor
-        if executor is None:
-            from repro.sim.parallel import ThreadShardExecutor
-
-            executor = self._shard_executor = ThreadShardExecutor(self)
-        n_lanes = q.n_lanes
-        while True:
-            when = q.peek()
-            if when is None or (until is not None and when > until):
-                return
-            horizon = when + q.lookahead
-            if until is not None and horizon > until + 1:
-                horizon = until + 1
-            heads = [q.lane_head(lane) for lane in range(n_lanes)]
-            lanes = [lane for lane in range(1, n_lanes)
-                     if heads[lane] is not None and heads[lane][0] < horizon]
-            stats.windows += 1
-            if ((heads[0] is not None and heads[0][0] < horizon)
-                    or len(lanes) < 2):
-                # global-lane context in the window (may touch any
-                # shard), or nothing to parallelize: deterministic
-                # inline drain below the horizon
-                self._run_sharded(until, horizon=horizon)
-                stats.windows -= 1  # _run_sharded counted its own
-                continue
-            if profiler is not None:
-                t0 = clock()
-                cb0 = sum(w for w, _ in profiler.buckets.values())
-            n = executor.run_window(horizon, lanes)
-            if n > stats.max_window_events:
-                stats.max_window_events = n
-            stats.events += n
-            _events_processed += n
-            if profiler is not None:
-                cb1 = sum(w for w, _ in profiler.buckets.values())
-                # sync stall: window wall not spent inside callbacks —
-                # thread start/join, lock waits, and the barrier merge
-                profiler.record_sync(max(0.0, (clock() - t0) - (cb1 - cb0)))
 
     @property
     def peek(self) -> Optional[int]:

@@ -8,8 +8,8 @@ layering``) forbids any other ``repro.*`` module from reading a
 configuration precedence rules rot.
 
 Parsing and validation intentionally stay with the consumers
-(:mod:`repro.sim.parallel` knows what a legal shard count is); this
-module only owns *which* variables exist and the raw string access.
+(:mod:`repro.sim.engine` knows which schedulers exist); this module
+only owns *which* variables exist and the raw string access.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ __all__ = ["ENV_VARS", "raw", "snapshot"]
 # name -> one-line documentation; the only REPRO_* variables that exist
 ENV_VARS: Dict[str, str] = {
     "REPRO_SCHEDULER": "event-queue for new Simulators (calendar|heap)",
-    "REPRO_SHARDS": "conservative-parallel shard count (empty/0 = serial)",
-    "REPRO_SHARD_BACKEND": "shard executor backend (inline|threads)",
-    "REPRO_SHARD_STRICT": "raise on cross-shard causality violations (1|0)",
     "REPRO_NOC_BATCH": "batch NoC hop charging (1, default; 0 = per-hop)",
     "REPRO_SCHED": "default TileMux policy (rr|edf|lottery|autotune); "
                    "applies when SystemConfig.sched is None",

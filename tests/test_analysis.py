@@ -41,10 +41,6 @@ BAD_FIXTURES = {
     "src/repro/sim/bad_upward.py": ("REP003", "upward-import"),
     "examples/bad_facade.py": ("REP003", "facade-bypass"),
     "src/repro/sim/bad_env_read.py": ("REP003", "env-config"),
-    "src/repro/sim/bad_cross_shard.py": ("REP004", "foreign-tile-store"),
-    "src/repro/sim/bad_active_shard.py": ("REP004", "active-shard"),
-    "src/repro/sim/bad_window_protocol.py": ("REP004", "window-protocol"),
-    "src/repro/sim/bad_event_shard.py": ("REP004", "event-shard-store"),
 }
 
 
@@ -106,7 +102,7 @@ def test_select_and_ignore():
 
 def test_rule_registry_is_complete():
     rules = all_rules()
-    assert set(rules) == {"REP001", "REP002", "REP003", "REP004"}
+    assert set(rules) == {"REP001", "REP002", "REP003"}
     for rule in rules.values():
         assert rule.description
 
