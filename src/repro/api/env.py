@@ -25,7 +25,6 @@ __all__ = ["EnvOverrides", "env_overrides"]
 class EnvOverrides:
     """Raw environment values, '' where unset (see ``envcfg.ENV_VARS``)."""
 
-    scheduler: str = ""       # REPRO_SCHEDULER (event queue)
     noc_batch: str = ""       # REPRO_NOC_BATCH
     sched: str = ""           # REPRO_SCHED (TileMux policy)
     bench_handicap_s: str = ""  # REPRO_BENCH_HANDICAP_S
@@ -35,7 +34,6 @@ def env_overrides() -> EnvOverrides:
     """Resolve the current environment into a frozen snapshot."""
     snap = envcfg.snapshot()
     return EnvOverrides(
-        scheduler=snap["REPRO_SCHEDULER"],
         noc_batch=snap["REPRO_NOC_BATCH"],
         sched=snap["REPRO_SCHED"],
         bench_handicap_s=snap["REPRO_BENCH_HANDICAP_S"],

@@ -31,8 +31,8 @@ calendar bucket's append order.  This tie-order invariant is what keeps
 the committed golden trace digests byte-identical across schedulers
 (DESIGN.md section 13).
 
-Select with ``Simulator(scheduler="heap")``, the ``REPRO_SCHEDULER``
-environment variable, or :func:`set_default_scheduler`.
+Select with ``Simulator(scheduler="heap")`` or
+:func:`set_default_scheduler`.
 
 Fast paths
 ----------
@@ -43,12 +43,12 @@ Fast paths
   ``yield 0`` cooperative yield.  Both consume exactly one queue entry
   at the same instant as the equivalent ``yield sim.timeout(n)``, so
   traces are unchanged.
-* ``run``/``run_until_event`` pick a specialized drain loop per call:
-  with tracer, metrics and profiler all ``None`` (the default) the loop
-  inlines the calendar queue and touches no hook, so the all-off cost
-  is a single attribute check per *run call* instead of a chain of
-  ``if`` guards per event.  Hooked runs use a loop with the hook
-  objects hoisted into locals.
+* ``run`` and ``run_until_event`` share one drain loop,
+  ``Simulator._drain``.  With tracer, metrics and profiler all ``None``
+  (the default) and the calendar queue, it inlines the queue and
+  touches no hook, so the all-off cost is a single check per *run
+  call* instead of a chain of ``if`` guards per event.  Any hook, or
+  the heap queue, sends every event through :meth:`Simulator.step`.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ import heapq
 import itertools
 from time import perf_counter as _perf_counter
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
-
-from repro.sim import envcfg
 
 
 class SimulationError(RuntimeError):
@@ -229,17 +227,17 @@ class CalendarEventQueue:
 _SCHEDULERS = {"calendar": CalendarEventQueue, "heap": HeapEventQueue}
 
 DEFAULT_SCHEDULER = "calendar"
-_default_scheduler = envcfg.raw("REPRO_SCHEDULER") or DEFAULT_SCHEDULER
+_default_scheduler = DEFAULT_SCHEDULER
 
 
 def set_default_scheduler(name: Optional[str]) -> None:
     """Select the event queue for new Simulators ("calendar" or "heap").
 
-    ``None`` restores the built-in default (or ``REPRO_SCHEDULER``).
+    ``None`` restores the built-in default.
     """
     global _default_scheduler
     if name is None:
-        name = envcfg.raw("REPRO_SCHEDULER") or DEFAULT_SCHEDULER
+        name = DEFAULT_SCHEDULER
     if name not in _SCHEDULERS:
         raise ValueError(f"unknown scheduler {name!r} "
                          f"(choose from {sorted(_SCHEDULERS)})")
@@ -472,8 +470,8 @@ class Process(Event):
             tick._ok = True
             tick._processed = False
             tick._defused = False
-            # the callback list survives pops untouched (drain loops
-            # detach it before running it); an interrupt() may have
+            # the callback list survives pops untouched (a pop
+            # detaches it before running it); an interrupt() may have
             # emptied it via remove(), so top it back up
             cbs = self._tick_cbs
             if not cbs:
@@ -589,9 +587,6 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: int) -> None:
-        self._eq.push(self.now + delay, event)
-
     def step(self) -> None:
         """Process the next triggered event (single-step API)."""
         global _events_processed
@@ -625,12 +620,7 @@ class Simulator:
         """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self.now:
             raise SimulationError(f"until={until} lies in the past (now={self.now})")
-        if (self.tracer is None and self.metrics is None
-                and self.profiler is None
-                and type(self._eq) is CalendarEventQueue):
-            self._run_plain(until)
-        else:
-            self._run_hooked(until)
+        self._drain(Event(self), until)   # a stop event nobody triggers
         if until is not None:
             self.now = until
 
@@ -640,42 +630,51 @@ class Simulator:
         ``limit`` guards against runaway simulations.
         """
         if event._value is _PENDING:
-            if (self.tracer is None and self.metrics is None
-                    and self.profiler is None
-                    and type(self._eq) is CalendarEventQueue):
-                self._run_until_plain(event, limit)
-            else:
-                self._run_until_hooked(event, limit)
+            self._drain(event, limit)
+            if event._value is _PENDING:
+                if not len(self._eq):
+                    raise SimulationError(
+                        "simulation starved before event triggered")
+                raise SimulationError(f"event did not trigger before t={limit}")
         if not event._ok:
             event._defused = True
             raise event._value
         return event._value
 
-    # -- drain loops ---------------------------------------------------------
-    #
-    # Four specializations of one loop.  The *plain* pair runs with
-    # tracer/metrics/profiler all None and the calendar queue, inlining
-    # the queue internals; the *hooked* pair hoists the hook objects
-    # into locals and works against any queue via peek/pop.  All of
-    # them process an event exactly like step().
+    def _drain(self, stop: Event, bound: Optional[int]) -> None:
+        """Process events until ``stop`` triggers, the queue empties, or
+        the next event lies past ``bound`` (``None``: no bound).
 
-    def _run_plain(self, until: Optional[int]) -> None:
+        With every hook off and the calendar queue the loop inlines the
+        queue (see "Fast paths" in the module docstring); otherwise every
+        event goes through :meth:`step`.
+        """
+        global _events_processed
+        q = self._eq
+        pending = _PENDING
+        if (self.tracer is not None or self.metrics is not None
+                or self.profiler is not None
+                or type(q) is not CalendarEventQueue):
+            while stop._value is pending:
+                when = q.peek()
+                if when is None or (bound is not None and when > bound):
+                    return
+                self.step()
+            return
         # The queue's _head/_len are only read by pop()/peek()/len(), none
         # of which can run while this loop owns the queue (hooks are off),
         # so both are maintained in locals and written back on exit.
-        global _events_processed
-        q = self._eq
         buckets = q._buckets
         times = q._times
         pop_time = heapq.heappop
         head = q._head
         n = 0
         try:
-            while times:
+            while stop._value is pending and times:
                 when = times[0]
                 bucket = buckets[when]
                 if type(bucket) is not list:
-                    if until is not None and when > until:
+                    if bound is not None and when > bound:
                         return
                     self.now = when
                     del buckets[when]
@@ -695,7 +694,7 @@ class Simulator:
                     pop_time(times)
                     head = 0
                     continue
-                if until is not None and when > until:
+                if bound is not None and when > bound:
                     return
                 self.now = when
                 while head < len(bucket):
@@ -709,67 +708,7 @@ class Simulator:
                         callback(event)
                     if not event._ok and not event._defused:
                         raise event._value
-                del buckets[when]
-                pop_time(times)
-                head = 0
-        finally:
-            q._head = head
-            q._len -= n
-            _events_processed += n
-
-    def _run_until_plain(self, ev: Event, limit: Optional[int]) -> None:
-        global _events_processed
-        q = self._eq
-        buckets = q._buckets
-        times = q._times
-        pop_time = heapq.heappop
-        pending = _PENDING
-        head = q._head
-        n = 0
-        try:
-            while ev._value is pending:
-                if not times:
-                    raise SimulationError(
-                        "simulation starved before event triggered")
-                when = times[0]
-                bucket = buckets[when]
-                if type(bucket) is not list:
-                    if limit is not None and when > limit:
-                        raise SimulationError(
-                            f"event did not trigger before t={limit}")
-                    self.now = when
-                    del buckets[when]
-                    pop_time(times)
-                    event = bucket
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    n += 1
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    continue
-                if head >= len(bucket):
-                    del buckets[when]
-                    pop_time(times)
-                    head = 0
-                    continue
-                if limit is not None and when > limit:
-                    raise SimulationError(f"event did not trigger before t={limit}")
-                self.now = when
-                while head < len(bucket):
-                    event = bucket[head]
-                    head += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    n += 1
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    if ev._value is not pending:
+                    if stop._value is not pending:
                         return
                 del buckets[when]
                 pop_time(times)
@@ -777,84 +716,6 @@ class Simulator:
         finally:
             q._head = head
             q._len -= n
-            _events_processed += n
-
-    def _run_hooked(self, until: Optional[int]) -> None:
-        global _events_processed
-        q = self._eq
-        tracer = self.tracer
-        metrics = self.metrics
-        profiler = self.profiler
-        clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        n = 0
-        try:
-            while True:
-                when = q.peek()
-                if when is None or (until is not None and when > until):
-                    return
-                when, event = q.pop()
-                self.now = when
-                n += 1
-                if tracer is not None:
-                    tracer.emit(self, "evq_pop", cls=type(event).__name__)
-                if metrics is not None:
-                    metrics.on_step(self, event)
-                callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
-                if profiler is None:
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    profiler.on_step()
-                    for callback in callbacks:
-                        t0 = clock()
-                        callback(event)
-                        profiler.record(getattr(callback, "__self__", None),
-                                        clock() - t0)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            _events_processed += n
-
-    def _run_until_hooked(self, ev: Event, limit: Optional[int]) -> None:
-        global _events_processed
-        q = self._eq
-        tracer = self.tracer
-        metrics = self.metrics
-        profiler = self.profiler
-        clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        pending = _PENDING
-        n = 0
-        try:
-            while ev._value is pending:
-                when = q.peek()
-                if when is None:
-                    raise SimulationError(
-                        "simulation starved before event triggered")
-                if limit is not None and when > limit:
-                    raise SimulationError(f"event did not trigger before t={limit}")
-                when, event = q.pop()
-                self.now = when
-                n += 1
-                if tracer is not None:
-                    tracer.emit(self, "evq_pop", cls=type(event).__name__)
-                if metrics is not None:
-                    metrics.on_step(self, event)
-                callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
-                if profiler is None:
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    profiler.on_step()
-                    for callback in callbacks:
-                        t0 = clock()
-                        callback(event)
-                        profiler.record(getattr(callback, "__self__", None),
-                                        clock() - t0)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
             _events_processed += n
 
     @property

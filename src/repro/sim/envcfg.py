@@ -8,7 +8,7 @@ layering``) forbids any other ``repro.*`` module from reading a
 configuration precedence rules rot.
 
 Parsing and validation intentionally stay with the consumers
-(:mod:`repro.sim.engine` knows which schedulers exist); this module
+(:mod:`repro.noc.fabric` knows what ``REPRO_NOC_BATCH`` means); this module
 only owns *which* variables exist and the raw string access.
 """
 
@@ -21,7 +21,6 @@ __all__ = ["ENV_VARS", "raw", "snapshot"]
 
 # name -> one-line documentation; the only REPRO_* variables that exist
 ENV_VARS: Dict[str, str] = {
-    "REPRO_SCHEDULER": "event-queue for new Simulators (calendar|heap)",
     "REPRO_NOC_BATCH": "batch NoC hop charging (1, default; 0 = per-hop)",
     "REPRO_SCHED": "default TileMux policy (rr|edf|lottery|autotune); "
                    "applies when SystemConfig.sched is None",

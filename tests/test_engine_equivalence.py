@@ -13,19 +13,34 @@ a bucketed queue could plausibly diverge from a ``(time, seq)`` heap:
 * processes interrupted mid-wait (their pending resume is retracted),
 * reschedules: new events created for times already drained past,
   equal to ``now``, and far in the future,
-* ``run(until=...)`` stopping between buckets.
+* ``run(until=...)`` stopping between buckets, and ``run_until_event``
+  stopping mid-bucket, on each side of the engine's drain loop (the
+  inlined calendar path and the hooked path through ``step()``).
 """
 
 from inspect import getgeneratorstate
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Channel, Interrupt, Simulator
+from repro.obs.profile import SelfProfiler
+from repro.sim import Channel, Interrupt, SimulationError, Simulator, engine
 from repro.sim.channel import ChannelClosed
 from repro.sim.trace import capture
 from repro.testing.golden import canonical_json
 
 SCHEDULERS = ("calendar", "heap")
+
+# (scheduler, profiled): the drain loop's inlined calendar path, the
+# reference heap, and the calendar queue driven through step() because
+# a SelfProfiler is installed
+DRAIN_PATHS = (("calendar", False), ("heap", False), ("calendar", True))
+
+
+def _drain_sim(scheduler, profiled):
+    sim = Simulator(scheduler=scheduler)
+    if profiled:
+        sim.profiler = SelfProfiler()
+    return sim
 
 
 # -- schedule scripts ---------------------------------------------------------
@@ -171,12 +186,51 @@ def test_same_timestamp_ties_pop_fifo(delays):
 @settings(max_examples=60, deadline=None)
 def test_run_until_stops_identically(until, delays):
     results = []
-    for scheduler in SCHEDULERS:
-        sim = Simulator(scheduler=scheduler)
+    for scheduler, profiled in DRAIN_PATHS:
+        sim = _drain_sim(scheduler, profiled)
         seen = []
         for i, d in enumerate(delays):
             sim.event().succeed(i, delay=d).callbacks.append(
                 lambda ev: seen.append((sim.now, ev.value)))
         sim.run(until=until)
         results.append((seen, sim.now, sim.peek))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
+
+
+@given(delays=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+       trigger=st.integers(0, 35),
+       fire_delay=st.integers(0, 2),
+       limit=st.one_of(st.none(), st.integers(0, 4)))
+@settings(max_examples=80, deadline=None)
+def test_run_until_event_stops_mid_bucket_and_resumes(delays, trigger,
+                                                      fire_delay, limit):
+    """Event ``trigger`` fires the target from inside its (usually
+    shared) bucket, so the inlined loop returns with the bucket half
+    drained and must write its ``_head``/``_len`` back; ``run()`` then
+    resumes from exactly that point.  A ``trigger`` past the end leaves
+    the target unfired (starvation), and ``limit`` can cut the run
+    short first."""
+    results = []
+    for scheduler, profiled in DRAIN_PATHS:
+        sim = _drain_sim(scheduler, profiled)
+        target = sim.event()
+        seen = []
+
+        def on_pop(ev):
+            seen.append((sim.now, ev.value))
+            if ev.value == trigger:
+                target.succeed(("hit", sim.now), delay=fire_delay)
+
+        for i, d in enumerate(delays):
+            sim.event().succeed(i, delay=d).callbacks.append(on_pop)
+        before = engine.events_processed()
+        try:
+            outcome = sim.run_until_event(target, limit=limit)
+        except SimulationError as exc:
+            outcome = str(exc)
+        at_stop = (list(seen), outcome, sim.now, sim.peek, len(sim._eq),
+                   engine.events_processed() - before)
+        sim.run()
+        results.append((at_stop, seen, sim.now, sim.peek, len(sim._eq),
+                        engine.events_processed() - before))
+    assert results[0] == results[1] == results[2]

@@ -382,7 +382,7 @@ def _run(snippet: str, **env_overrides) -> str:
     return out.stdout
 
 
-def test_migration_timeline_identical_across_hashseed_and_shards():
+def test_migration_timeline_identical_across_hashseed():
     """The whole migration timeline — trace digest, migration and
     retarget counts — survives interpreter hash-seed changes
     bit-for-bit."""

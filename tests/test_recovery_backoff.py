@@ -67,7 +67,7 @@ def test_jitter_stream_is_reproducible_in_process():
     assert all(pol.backoff_base_ps <= w < cap for w in a), a
 
 
-def test_backoff_timeline_identical_under_hash_seed_and_shards():
+def test_backoff_timeline_identical_under_hash_seed():
     """The full recovery timeline of a lossy workload — retransmit
     counts, goodput, latency percentiles — survives interpreter
     hash-seed changes bit-for-bit."""
