@@ -41,9 +41,11 @@ def linux_system(**overrides) -> System:
 
 
 def rendezvous(api, env: Dict, *keys) -> Generator:
-    """Boot-time helper: wait for the harness to publish channel ids."""
+    """Boot-time helper: wait for the harness to publish channel ids.
+
+    Timer-polls every 1 µs and holds the core while it waits."""
     while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
+        yield 1_000_000
 
 
 def wait_all(plat: M3vPlatform, acts, limit: int = 10**14) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.lsm import LsmStore
-from repro.core.exps.common import fpga_system, linux_system
+from repro.core.exps.common import fpga_system, linux_system, rendezvous
 from repro.posix.vfs import LinuxVfs, M3vVfs
 from repro.services.boot import (
     boot_m3fs,
@@ -75,8 +75,7 @@ def _run_m3v(mix: str, shared: bool, p: Fig10Params) -> Dict[str, float]:
     out: Dict = {}
 
     def db(api):
-        while "fs_eps" not in env or "net_eps" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "fs_eps", "net_eps")
         fsc = FsClient(api, *env["fs_eps"])
         netc = NetClient(api, *env["net_eps"])
         vfs = M3vVfs(fsc)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.exps.common import fpga_system, linux_system
+from repro.core.exps.common import fpga_system, linux_system, rendezvous
 from repro.linuxsim.machine import O_CREAT as L_O_CREAT
 from repro.linuxsim.machine import O_TRUNC as L_O_TRUNC
 from repro.linuxsim.machine import O_WRONLY as L_O_WRONLY
@@ -49,8 +49,7 @@ def _run_m3v(op: str, shared: bool, p: Fig7Params) -> float:
     out: Dict = {}
 
     def bench(api):
-        while "fs_eps" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "fs_eps")
         fsc = FsClient(api, *env["fs_eps"])
         chunk = b"\xcd" * p.buf_bytes
 

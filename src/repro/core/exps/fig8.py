@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.exps.common import fpga_system, linux_system
+from repro.core.exps.common import fpga_system, linux_system, rendezvous
 from repro.services.boot import boot_net, boot_pager, connect_net
 from repro.services.net import NetClient
 
@@ -38,8 +38,7 @@ def _run_m3v(shared: bool, p: Fig8Params) -> float:
     out: Dict = {}
 
     def bench(api):
-        while "net_eps" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "net_eps")
         netc = NetClient(api, *env["net_eps"])
         sid = yield from netc.socket()
         yield from netc.bind(sid, 5000)

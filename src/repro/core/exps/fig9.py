@@ -22,6 +22,7 @@ from typing import Dict, List
 
 from repro.api import SystemConfig, build_system
 from repro.apps.traceplayer import TracePlayer
+from repro.core.exps.common import rendezvous
 from repro.core.platform import PlatformConfig
 from repro.posix.vfs import M3vVfs
 from repro.services.boot import boot_m3fs, connect_fs
@@ -130,8 +131,7 @@ def _throughput(system: str, n_tiles: int, p: Fig9Params) -> float:
         results[tile] = out
 
         def bench(api, env=env, out=out):
-            while "fs_eps" not in env:
-                yield api.sim.timeout(1_000_000)
+            yield from rendezvous(api, env, "fs_eps")
             fsc = FsClient(api, *env["fs_eps"])
             player = TracePlayer(M3vVfs(fsc), api.compute)
 

@@ -96,7 +96,7 @@ def run_point(spec: PointSpec, with_trace: bool = False,
             from repro.sim.trace import capture
             from repro.testing.golden import digest
 
-            with capture(exclude=("evq_pop",)) as tracer:
+            with capture() as tracer:
                 value = sweep.point_fn(spec.config)
             trace_digest = digest(tracer)
         else:

@@ -44,11 +44,13 @@ Fast paths
   at the same instant as the equivalent ``yield sim.timeout(n)``, so
   traces are unchanged.
 * ``run`` and ``run_until_event`` share one drain loop,
-  ``Simulator._drain``.  With tracer, metrics and profiler all ``None``
-  (the default) and the calendar queue, it inlines the queue and
-  touches no hook, so the all-off cost is a single check per *run
-  call* instead of a chain of ``if`` guards per event.  Any hook, or
-  the heap queue, sends every event through :meth:`Simulator.step`.
+  ``Simulator._drain``.  With metrics and profiler both ``None`` (the
+  default) and the calendar queue, it inlines the queue, so the cost of
+  the hooks is a single check per *run call* instead of a chain of
+  ``if`` guards per event.  An attached tracer keeps the inlined loop:
+  the engine emits nothing per event, and every trace site is a model
+  site guarded by ``sim.tracer``.  Metrics, the profiler or the heap
+  queue send every event through :meth:`Simulator.step`.
 """
 
 from __future__ import annotations
@@ -593,9 +595,6 @@ class Simulator:
         when, event = self._eq.pop()
         self.now = when
         _events_processed += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(self, "evq_pop", cls=type(event).__name__)
         metrics = self.metrics
         if metrics is not None:
             metrics.on_step(self, event)
@@ -645,15 +644,14 @@ class Simulator:
         """Process events until ``stop`` triggers, the queue empties, or
         the next event lies past ``bound`` (``None``: no bound).
 
-        With every hook off and the calendar queue the loop inlines the
-        queue (see "Fast paths" in the module docstring); otherwise every
-        event goes through :meth:`step`.
+        With metrics and profiler off and the calendar queue the loop
+        inlines the queue, tracer or not (see "Fast paths" in the module
+        docstring); otherwise every event goes through :meth:`step`.
         """
         global _events_processed
         q = self._eq
         pending = _PENDING
-        if (self.tracer is not None or self.metrics is not None
-                or self.profiler is not None
+        if (self.metrics is not None or self.profiler is not None
                 or type(q) is not CalendarEventQueue):
             while stop._value is pending:
                 when = q.peek()
@@ -662,8 +660,9 @@ class Simulator:
                 self.step()
             return
         # The queue's _head/_len are only read by pop()/peek()/len(), none
-        # of which can run while this loop owns the queue (hooks are off),
-        # so both are maintained in locals and written back on exit.
+        # of which can run while this loop owns the queue (no metrics, no
+        # profiler), so both are maintained in locals and written back on
+        # exit.
         buckets = q._buckets
         times = q._times
         pop_time = heapq.heappop

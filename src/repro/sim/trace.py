@@ -15,7 +15,6 @@ Event kinds and their fields (the trace schema)
 ===================  ======================================================
 kind                 fields
 ===================  ======================================================
-``evq_pop``          ``cls`` — class name of the popped simulator event
 ``noc_inject``       ``src, dst, pkt, size, pid`` — packet entered fabric
 ``noc_deliver``      ``src, dst, pkt, pid, qlen`` — packet accepted by the
                      destination tile's input queue (after backpressure)
@@ -115,10 +114,9 @@ class TraceEvent:
 class Tracer:
     """Collects trace events and dispatches them to subscribers.
 
-    ``exclude`` filters event kinds at the source (``evq_pop`` is by far
-    the noisiest; golden traces drop it).  ``record=False`` keeps no
-    event list — useful when only online invariant checkers consume the
-    stream and memory should stay flat.
+    ``exclude`` filters event kinds at the source.  ``record=False``
+    keeps no event list — useful when only online invariant checkers
+    consume the stream and memory should stay flat.
     """
 
     def __init__(self, exclude: Iterable[str] = (), record: bool = True):
@@ -198,7 +196,7 @@ def capture(exclude: Iterable[str] = (), record: bool = True,
             tracer: Optional[Tracer] = None):
     """Context manager: trace every simulator built inside the block.
 
-    >>> with capture(exclude=("evq_pop",)) as tracer:
+    >>> with capture() as tracer:
     ...     run_fig6(Fig6Params(iterations=10, warmup=2))
     >>> len(tracer.events)
     """

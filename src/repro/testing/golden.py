@@ -133,9 +133,9 @@ def diff_digest(expected: Dict[str, Any],
 
 # -- golden workloads ---------------------------------------------------------
 #
-# Small, fixed-parameter versions of the paper's microbenchmarks; the
-# noisy per-step `evq_pop` events are excluded to keep traces focused
-# on architectural behavior.
+# Small, fixed-parameter versions of the paper's microbenchmarks.  The
+# engine emits nothing per event, so every traced kind is architectural
+# behavior.
 
 def _fig6_workload() -> None:
     from repro.core.exps.fig6 import Fig6Params, run_fig6
@@ -158,7 +158,7 @@ GOLDEN_WORKLOADS: Dict[str, Callable[[], None]] = {
 def record_trace(name: str) -> Tracer:
     """Run golden workload ``name`` under tracing; returns the tracer."""
     workload = GOLDEN_WORKLOADS[name]
-    with capture(exclude=("evq_pop",)) as tracer:
+    with capture() as tracer:
         workload()
     return tracer
 

@@ -154,7 +154,7 @@ def _rpc_digest(build):
                                     data=21, size=16)
         result["value"] = value
 
-    with capture(exclude=("evq_pop",)) as tracer:
+    with capture() as tracer:
         plat = build()
         ctrl = plat.controller
         s = plat.run_proc(ctrl.spawn("server", 1, server))

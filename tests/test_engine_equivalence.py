@@ -15,7 +15,8 @@ a bucketed queue could plausibly diverge from a ``(time, seq)`` heap:
   equal to ``now``, and far in the future,
 * ``run(until=...)`` stopping between buckets, and ``run_until_event``
   stopping mid-bucket, on each side of the engine's drain loop (the
-  inlined calendar path and the hooked path through ``step()``).
+  inlined calendar path, bare or with a tracer attached, and the hooked
+  path through ``step()``).
 """
 
 from inspect import getgeneratorstate
@@ -25,21 +26,25 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.profile import SelfProfiler
 from repro.sim import Channel, Interrupt, SimulationError, Simulator, engine
 from repro.sim.channel import ChannelClosed
-from repro.sim.trace import capture
+from repro.sim.trace import Tracer, capture
 from repro.testing.golden import canonical_json
 
 SCHEDULERS = ("calendar", "heap")
 
-# (scheduler, profiled): the drain loop's inlined calendar path, the
-# reference heap, and the calendar queue driven through step() because
-# a SelfProfiler is installed
-DRAIN_PATHS = (("calendar", False), ("heap", False), ("calendar", True))
+# (scheduler, hook): the drain loop's inlined calendar path, the
+# reference heap, the calendar queue driven through step() because a
+# SelfProfiler is installed, and the inlined path with a tracer attached
+# (the engine emits no per-event trace, so a tracer keeps the fast loop)
+DRAIN_PATHS = (("calendar", None), ("heap", None), ("calendar", "profiler"),
+               ("calendar", "tracer"))
 
 
-def _drain_sim(scheduler, profiled):
+def _drain_sim(scheduler, hook):
     sim = Simulator(scheduler=scheduler)
-    if profiled:
+    if hook == "profiler":
         sim.profiler = SelfProfiler()
+    elif hook == "tracer":
+        Tracer(record=False).attach(sim)
     return sim
 
 
@@ -117,6 +122,8 @@ def _run_script(script, scheduler):
             except RuntimeError as exc:
                 history.append((sim.now, pid, step, "err", str(exc)))
             history.append((sim.now, pid, step, op))
+            if sim.tracer is not None:
+                sim.tracer.emit(sim, "script_op", pid=pid, step=step, op=op)
 
     for pid, actions in enumerate(script):
         procs.append(sim.process(runner(pid, actions), name=f"p{pid}"))
@@ -154,8 +161,8 @@ def test_calendar_and_heap_produce_identical_traces(script):
     blobs = []
     for scheduler in SCHEDULERS:
         with capture() as tracer:
-            _run_script(script, scheduler)
-        blobs.append(canonical_json(tracer))
+            outcome = _run_script(script, scheduler)
+        blobs.append((canonical_json(tracer), outcome))
     assert blobs[0] == blobs[1]
 
 
@@ -186,15 +193,17 @@ def test_same_timestamp_ties_pop_fifo(delays):
 @settings(max_examples=60, deadline=None)
 def test_run_until_stops_identically(until, delays):
     results = []
-    for scheduler, profiled in DRAIN_PATHS:
-        sim = _drain_sim(scheduler, profiled)
+    for scheduler, hook in DRAIN_PATHS:
+        sim = _drain_sim(scheduler, hook)
         seen = []
         for i, d in enumerate(delays):
             sim.event().succeed(i, delay=d).callbacks.append(
                 lambda ev: seen.append((sim.now, ev.value)))
+        before = engine.events_processed()
         sim.run(until=until)
-        results.append((seen, sim.now, sim.peek))
-    assert results[0] == results[1] == results[2]
+        results.append((seen, sim.now, sim.peek,
+                        engine.events_processed() - before))
+    assert all(r == results[0] for r in results)
 
 
 @given(delays=st.lists(st.integers(0, 3), min_size=1, max_size=30),
@@ -211,8 +220,8 @@ def test_run_until_event_stops_mid_bucket_and_resumes(delays, trigger,
     the target unfired (starvation), and ``limit`` can cut the run
     short first."""
     results = []
-    for scheduler, profiled in DRAIN_PATHS:
-        sim = _drain_sim(scheduler, profiled)
+    for scheduler, hook in DRAIN_PATHS:
+        sim = _drain_sim(scheduler, hook)
         target = sim.event()
         seen = []
 
@@ -233,4 +242,4 @@ def test_run_until_event_stops_mid_bucket_and_resumes(delays, trigger,
         sim.run()
         results.append((at_stop, seen, sim.now, sim.peek, len(sim._eq),
                         engine.events_processed() - before))
-    assert results[0] == results[1] == results[2]
+    assert all(r == results[0] for r in results)

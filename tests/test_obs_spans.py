@@ -71,7 +71,7 @@ def fig6_spans():
 
     pt = [p for p in fig6_points(Fig6Params(iterations=10, warmup=2))
           if p.kind == "m3v_local"][0]
-    with capture(exclude=("evq_pop",)) as tracer:
+    with capture() as tracer:
         run_fig6_point(pt)
     return SpanCollector().feed(tracer.events).finish()
 
@@ -103,7 +103,7 @@ def test_live_attach_matches_post_hoc_feed():
 
     pt = [p for p in fig6_points(Fig6Params(iterations=5, warmup=1))
           if p.kind == "m3v_local"][0]
-    with capture(exclude=("evq_pop",)) as tracer:
+    with capture() as tracer:
         live = SpanCollector().attach(tracer)
         run_fig6_point(pt)
     live.finish()

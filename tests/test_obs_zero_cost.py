@@ -30,9 +30,9 @@ def test_metered_run_is_byte_identical_to_unmetered():
     from repro.testing.golden import canonical_json
 
     pt = _fig6_golden_point()
-    with capture(exclude=("evq_pop",)) as plain:
+    with capture() as plain:
         run_fig6_point(pt)
-    with capture(exclude=("evq_pop",)) as metered_tracer:
+    with capture() as metered_tracer:
         with capture_metrics() as m:
             run_fig6_point(pt)
     assert m.counter_value("tile0/dtu/sends") > 0

@@ -115,7 +115,7 @@ def test_lossy_injector_requires_recovery():
 # -- fault rate 0 is byte-identical to the plain model ------------------------
 
 def _echo_trace(with_plan: bool):
-    with capture(exclude=("evq_pop",)) as tracer:
+    with capture() as tracer:
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=2)).platform
         if with_plan:
             HwFaultPlan.lossy("zero", 0.0).apply(plat)

@@ -32,6 +32,7 @@ from repro.services.serving import (
     ServingStack,
     TokenBucket,
 )
+from repro.sim import Simulator
 from repro.testing.chaos import ChaosCampaign, Floor, Phase, run_campaign
 from repro.workloads.serving import (
     DEFAULT_TENANTS,
@@ -303,6 +304,24 @@ def test_figs_receive_loops_block_instead_of_sleep_polling(monkeypatch,
     assert calls.get(("lb", "sleep_us"), 0) <= res["backpressure"]
     # same seed, same point: the event-driven loops stay deterministic
     assert run_figs_point(pt) == res
+
+
+def test_figs_traced_point_never_steps(monkeypatch):
+    # the online invariant suite attaches a tracer; the engine emits no
+    # per-event trace, so the point must stay on the inlined drain loop
+    # instead of sending every event through Simulator.step
+    pt = _smoke_pt(system="m3v", load=0.3, fault_rate=0.02)
+    res = run_figs_point(pt)
+    steps = []
+    orig = Simulator.step
+
+    def counted(sim):
+        steps.append(sim.now)
+        return orig(sim)
+
+    monkeypatch.setattr(Simulator, "step", counted)
+    assert run_figs_point(pt) == res
+    assert steps == []
 
 
 def test_figs_points_cover_all_arms():
