@@ -23,16 +23,14 @@ import os
 import sys
 import time
 
-from repro.core.exps import (
-    Fig6Params,
-    Fig7Params,
-    Fig8Params,
-    Fig9Params,
-    Fig10Params,
-    FigRParams,
-    FigSParams,
-    VoiceParams,
-)
+from repro.core.exps.fig6 import Fig6Params
+from repro.core.exps.fig7 import Fig7Params
+from repro.core.exps.fig8 import Fig8Params
+from repro.core.exps.fig9 import Fig9Params
+from repro.core.exps.fig10 import Fig10Params
+from repro.core.exps.figr import FigRParams
+from repro.core.exps.figs import FigSParams
+from repro.core.exps.voice import VoiceParams
 from repro.core.report import runner_summary
 from repro.hw import complexity_report, table1
 from repro.runner import DEFAULT_CACHE_DIR, ResultCache, Runner

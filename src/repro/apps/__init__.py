@@ -8,9 +8,3 @@
   (Rice/delta coding, the libFLAC stand-in).
 * :mod:`repro.apps.voice` — the voice-assistant pipeline of 6.5.1.
 """
-
-from repro.apps.traceplayer import TracePlayer
-from repro.apps.lsm import LsmStore
-from repro.apps.compress import rice_compress, rice_decompress
-
-__all__ = ["TracePlayer", "LsmStore", "rice_compress", "rice_decompress"]

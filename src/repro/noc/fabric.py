@@ -30,7 +30,7 @@ byte-identical under both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.sim import Channel, Event, Simulator, envcfg
 from repro.sim.stats import StatRegistry
@@ -128,7 +128,6 @@ class NocFabric:
         self._inboxes: Dict[int, Channel] = {}
         self._ctr_packets = self.stats.counter("noc/packets")
         self._ctr_bytes = self.stats.counter("noc/bytes")
-        self._sinks: Dict[int, Callable[[Packet], None]] = {}
 
     # -- attachment -----------------------------------------------------------
 

@@ -78,25 +78,26 @@ def _load_builtin() -> None:
     if _BUILTIN_LOADED:
         return
     _BUILTIN_LOADED = True
-    from repro.core import exps
+    from repro.core.exps import (fig6, fig7, fig8, fig9, fig10, figr,
+                                 figs, voice)
 
     builtin = [
-        ("fig6", exps.Fig6Params, exps.fig6_points, exps.run_fig6_point,
-         exps.reduce_fig6),
-        ("fig7", exps.Fig7Params, exps.fig7_points, exps.run_fig7_point,
-         exps.reduce_fig7),
-        ("fig8", exps.Fig8Params, exps.fig8_points, exps.run_fig8_point,
-         exps.reduce_fig8),
-        ("fig9", exps.Fig9Params, exps.fig9_points, exps.run_fig9_point,
-         exps.reduce_fig9),
-        ("fig10", exps.Fig10Params, exps.fig10_points, exps.run_fig10_point,
-         exps.reduce_fig10),
-        ("voice", exps.VoiceParams, exps.voice_points, exps.run_voice_point,
-         exps.reduce_voice),
-        ("figR", exps.FigRParams, exps.figr_points, exps.run_figr_point,
-         exps.reduce_figr),
-        ("figS", exps.FigSParams, exps.figs_points, exps.run_figs_point,
-         exps.reduce_figs),
+        ("fig6", fig6.Fig6Params, fig6.fig6_points, fig6.run_fig6_point,
+         fig6.reduce_fig6),
+        ("fig7", fig7.Fig7Params, fig7.fig7_points, fig7.run_fig7_point,
+         fig7.reduce_fig7),
+        ("fig8", fig8.Fig8Params, fig8.fig8_points, fig8.run_fig8_point,
+         fig8.reduce_fig8),
+        ("fig9", fig9.Fig9Params, fig9.fig9_points, fig9.run_fig9_point,
+         fig9.reduce_fig9),
+        ("fig10", fig10.Fig10Params, fig10.fig10_points,
+         fig10.run_fig10_point, fig10.reduce_fig10),
+        ("voice", voice.VoiceParams, voice.voice_points,
+         voice.run_voice_point, voice.reduce_voice),
+        ("figR", figr.FigRParams, figr.figr_points, figr.run_figr_point,
+         figr.reduce_figr),
+        ("figS", figs.FigSParams, figs.figs_points, figs.run_figs_point,
+         figs.reduce_figs),
     ]
     for name, params_cls, points, point_fn, reduce in builtin:
         if name in SWEEPS:       # a test replaced it before first load

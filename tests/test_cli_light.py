@@ -1,7 +1,7 @@
 """Cheap CLI entry points: ``repro --version`` and ``repro lint`` must
-work without importing the experiment stack (platform, runner, numpy-
-heavy report code).  The CI lint gate runs on every push, so its
-startup cost is part of the interface."""
+work without importing the experiment stack (simulator, platform,
+runner, report code, numpy).  The CI lint gate runs on every push, so
+its startup cost is part of the interface."""
 
 import subprocess
 import sys
