@@ -14,7 +14,7 @@ workloads="${*:-fig6 fig8}"
 status=0
 
 sha_of() {
-    # "fig6: 1113 events, sha256 1e1f482ad552c952…" -> the hash prefix
+    # "fig6: 1289 events, sha256 65252aca2513090d…" -> the hash prefix
     PYTHONHASHSEED="$2" python -m repro trace "$1" | sed -n 's/.*sha256 \([0-9a-f]*\).*/\1/p'
 }
 

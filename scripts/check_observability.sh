@@ -24,26 +24,31 @@ fi
 stats_of() {
     # aggregate counters only: everything after the marker line, which is
     # the deterministic slice (wall-clock noise lives above it)
-    PYTHONHASHSEED="$1" python -m repro stats fig6 --quick --no-cache \
+    PYTHONHASHSEED="$2" python -m repro stats "$1" --quick --no-cache \
         | sed -n '/aggregate counters/,$p'
 }
 
 echo "== repro stats determinism across hash seeds"
-a="$(stats_of 1)"
-b="$(stats_of 2)"
-if [ -z "$a" ] || [ "$a" != "$b" ]; then
-    echo "FAIL: aggregate counters differ across interpreters" >&2
-    status=1
-else
-    echo "ok   stats fig6 --quick: identical under PYTHONHASHSEED=1 and 2"
-fi
+# figR adds the M3x slow-path, forwarding and recovery metrics fig6 lacks
+for sweep in fig6 figR; do
+    a="$(stats_of "$sweep" 1)"
+    b="$(stats_of "$sweep" 2)"
+    if [ -z "$a" ] || [ "$a" != "$b" ]; then
+        echo "FAIL: $sweep aggregate counters differ across interpreters" >&2
+        status=1
+    else
+        echo "ok   stats $sweep --quick: identical under PYTHONHASHSEED=1 and 2"
+    fi
+done
 
 echo "== repro profile smoke"
-if ! python -m repro profile fig6 --quick | grep -q "events/s"; then
+profile="$(python -m repro profile fig6 --quick)"
+if ! printf '%s\n' "$profile" | grep -q "events/s" \
+        || ! printf '%s\n' "$profile" | grep -q "sim/evq_depth"; then
     echo "FAIL: repro profile fig6 --quick printed no self-profile" >&2
     status=1
 else
-    echo "ok   profile fig6 --quick emits the subsystem table"
+    echo "ok   profile fig6 --quick emits the subsystem table and queue depth"
 fi
 
 exit $status

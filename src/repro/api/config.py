@@ -38,13 +38,11 @@ class TraceSpec:
 
 @dataclass(frozen=True)
 class MetricsSpec:
-    """Attach a :class:`repro.obs.MetricsRegistry` (and optionally a
-    :class:`repro.obs.SpanCollector`, which needs a trace stream — a
-    record-free tracer is created if none is configured)."""
+    """Attach a :class:`repro.obs.MetricsRegistry` and optionally a
+    :class:`repro.obs.SpanCollector`.  Both subscribe to the trace
+    stream; a record-free tracer is created if none is configured."""
 
     spans: bool = False
-    gauge_interval_ps: int = 10_000_000
-    evq_interval_ps: int = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ drops into existing code that expects a ``plat``.
 Globally installed defaults win: inside ``trace.capture()`` /
 ``obs.capture_metrics()`` / ``obs.capture_profile()`` blocks (and the
 runner's trace/metrics modes, which use them) the already-installed
-tracer/registry is reused instead of the config's specs, so workloads
-stay observable from the outside exactly as before the facade.
+tracer is reused instead of the config's ``TraceSpec``, so workloads
+stay observable from the outside exactly as before the facade.  A
+``MetricsSpec`` registry and span collector subscribe to that tracer,
+or to a record-free one created for the build.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class System:
         self.sim = impl.sim
         self.stats = impl.stats
         self.tracer = tracer if tracer is not None else impl.sim.tracer
-        self.metrics = metrics if metrics is not None else impl.sim.metrics
+        self.metrics = metrics
         self.profiler = impl.sim.profiler
         self.spans = spans
         self.serving = getattr(impl, "serving", None)
@@ -97,48 +99,38 @@ def build_system(config: Optional[SystemConfig] = None,
 
         config = replace(config, sched=SchedSpec(policy=env.sched))
 
-    # Layers: reuse globally installed defaults; otherwise create from
-    # the config's specs and install them only for the construction
+    # Layers: reuse the globally installed tracer; otherwise create one
+    # from the config's specs and install it only for the construction
     # window (each build creates exactly one Simulator, which latches
-    # them in __init__).
+    # it in __init__).
     tracer = engine._default_tracer
-    metrics = engine._default_metrics
-    own_tracer = own_metrics = False
+    own_tracer = False
     if tracer is None and config.trace is not None:
         from repro.sim.trace import Tracer
 
         tracer = Tracer(exclude=config.trace.exclude,
                         record=config.trace.record)
         own_tracer = True
-    if metrics is None and config.metrics is not None:
-        from repro.obs import MetricsRegistry
-
-        spec = config.metrics
-        metrics = MetricsRegistry(gauge_interval_ps=spec.gauge_interval_ps,
-                                  evq_interval_ps=spec.evq_interval_ps)
-        own_metrics = True
-    spans = None
-    if config.metrics is not None and config.metrics.spans:
-        from repro.obs import SpanCollector
+    metrics = spans = None
+    if config.metrics is not None:
+        from repro.obs import MetricsRegistry, SpanCollector
 
         if tracer is None:
             from repro.sim.trace import Tracer
 
             tracer = Tracer(record=False)
             own_tracer = True
-        spans = SpanCollector().attach(tracer)
+        metrics = MetricsRegistry().attach(tracer)
+        if config.metrics.spans:
+            spans = SpanCollector().attach(tracer)
 
     try:
         if own_tracer:
             engine.set_default_tracer(tracer)
-        if own_metrics:
-            engine.set_default_metrics(metrics)
         impl = _build_impl(config)
     finally:
         if own_tracer:
             engine.set_default_tracer(None)
-        if own_metrics:
-            engine.set_default_metrics(None)
 
     if config.kind != "linux":
         if config.recovery is not None:

@@ -18,7 +18,8 @@ Commands
               aggregate counters; ``--quick`` shrinks the workload
 ``profile <sweep>``
               run a sweep serially with the simulator self-profiler and
-              print wall-clock per subsystem + events/sec
+              print wall-clock per subsystem + events/sec, events per
+              class and each point's event-queue depth
 ``report <results.json>``
               render a full run_experiments.py dump + shape checks
 ``trace fig6|fig8``
@@ -327,9 +328,7 @@ def _cmd_stats(args) -> int:
     for o in outcomes:
         print(f"== {o.spec.sweep}[{o.spec.index}] "
               f"{_config_label(o.spec.config)}")
-        gauges = dict(o.metrics.get("gauges", {}))
-        if o.metrics.get("evq_depth"):
-            gauges["sim/evq_depth"] = o.metrics["evq_depth"]
+        gauges = o.metrics.get("gauges", {})
         shown = 0
         for name in sorted(gauges):
             if filters and not any(f in name for f in filters):
@@ -344,7 +343,7 @@ def _cmd_stats(args) -> int:
                       f"p50={summary['p50']:<12g} p99={summary['p99']:<12g} "
                       f"max={summary['max']:g}")
                 shown += 1
-        if not shown:
+        if filters and not shown:
             print("  (no series matched)")
     merged = MetricsRegistry.merge_dicts(o.metrics for o in outcomes)
     print(f"== aggregate counters ({len(outcomes)} point(s))")
@@ -359,19 +358,26 @@ def _cmd_stats(args) -> int:
 
 def _cmd_profile(args) -> int:
     """Run ``<sweep>`` serially under the self-profiler; print
-    wall-clock per subsystem and events/sec."""
+    wall-clock per subsystem, events/sec, events per class and each
+    point's event-queue depth."""
     from repro.obs import SelfProfiler
 
     runner = _make_runner(args, profile=True)
     runner.run_sweep(args.sweep, _sweep_params(args.sweep, args))
-    profiles = [o.profile for o in runner.last_outcomes
+    outcomes = [o for o in runner.last_outcomes
                 if o is not None and o.profile is not None]
     merged = SelfProfiler()
-    for p in profiles:
-        merged.merge(p)
-    print(f"profile — {args.sweep}, {len(profiles)} point(s), "
+    for o in outcomes:
+        merged.merge(o.profile)
+    print(f"profile — {args.sweep}, {len(outcomes)} point(s), "
           f"simulated in-process (jobs=1, no cache):")
     print(merged.table())
+    print("events by class:")
+    for cls, n in sorted(merged.event_counts.items()):
+        print(f"  {cls:<40} {n:>12,}")
+    for o in outcomes:
+        print(_series_line(f"{o.spec.sweep}[{o.spec.index}] sim/evq_depth",
+                           o.profile["evq_depth"]))
     return 0
 
 

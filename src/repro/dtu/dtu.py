@@ -211,9 +211,6 @@ class Dtu:
 
     # -- unprivileged commands -------------------------------------------------
 
-    def _mmio(self, accesses: int) -> Generator:
-        yield accesses * self.params.mmio_access_ps
-
     def cmd_send(self, ep_id: int, data: Any, size: int,
                  reply_ep: Optional[int] = None,
                  virt_addr: int = 0,
@@ -234,9 +231,10 @@ class Dtu:
         held = seq is not None and seq in self._credit_held
         if not held:
             if not ep.has_credits:
-                metrics = self.sim.metrics
-                if metrics is not None:
-                    metrics.inc(f"tile{self.tile}/dtu/credit_stalls")
+                tracer = self.sim.tracer
+                if tracer is not None:
+                    tracer.emit(self.sim, "credit_stall", tile=self.tile,
+                                ep=ep_id)
                 raise DtuFault(DtuError.MISSING_CREDITS)
             self._translate(virt_addr, size, Perm.R)
             ep.take_credit()
@@ -267,9 +265,9 @@ class Dtu:
         if held:
             self._credit_held.discard(seq)
         self._ctr_sends.add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc(f"tile{self.tile}/dtu/sends", self.sim.now)
+        if tracer is not None:
+            tracer.emit(self.sim, "send_done", tile=self.tile, ep=ep_id,
+                        uid=wire.uid)
 
     def cmd_reply(self, ep_id: int, msg: Message, data: Any, size: int,
                   virt_addr: int = 0,
@@ -420,9 +418,6 @@ class Dtu:
             if tracer is not None:
                 tracer.emit(self.sim, "msg_timeout", tile=self.tile, uid=uid)
             self.stats.counter("dtu/ack_timeouts").add()
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.inc(f"tile{self.tile}/recovery/ack_timeouts")
             done.succeed(DtuError.TIMEOUT)
 
     def _await_response(self, req: Packet) -> Generator:
@@ -501,9 +496,6 @@ class Dtu:
                 tracer.emit(self.sim, "msg_dedup", tile=self.tile,
                             ep=wire.dst_ep, uid=wire.uid)
             self.stats.counter("dtu/msgs_deduped").add()
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.inc(f"tile{self.tile}/recovery/dedup_hits")
             self._respond(pkt, DtuError.NONE)
             return
         if ep.free_slots == 0:
@@ -533,9 +525,9 @@ class Dtu:
         yield from self._on_deposit_blocking(wire.dst_ep, ep, msg)
         self._respond(pkt, DtuError.NONE)
         self._ctr_received.add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc(f"tile{self.tile}/dtu/recvs", self.sim.now)
+        if tracer is not None:
+            tracer.emit(self.sim, "recv_done", tile=self.tile,
+                        ep=wire.dst_ep, uid=wire.uid)
 
     def _trace_bounce(self, wire: WireMsg, error: DtuError) -> None:
         tracer = self.sim.tracer

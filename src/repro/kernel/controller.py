@@ -305,11 +305,11 @@ class Controller:
         stream of system calls cannot starve the small notify gate.
         """
         while True:
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.sample("ctrl/sysc_q", self.sim.now,
-                               getattr(self.dtu.eps[EP_SYSCALL], "unread", 0)
-                               + getattr(self.dtu.eps[EP_NOTIFY], "unread", 0))
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.emit(self.sim, "syscall_q", tile=self.tile_id,
+                            qlen=getattr(self.dtu.eps[EP_SYSCALL], "unread", 0)
+                            + getattr(self.dtu.eps[EP_NOTIFY], "unread", 0))
             note = yield from self.dtu.cmd_fetch(EP_NOTIFY)
             if note is not None:
                 yield from self._handle_notify(note)
@@ -382,9 +382,10 @@ class Controller:
         caller = msg.label  # the controller stamped the act id as label
         yield self._charge_ps(self.SYSCALL_BASE_CY)
         self.stats.counter("ctrl/syscalls").add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc("ctrl/syscalls", self.sim.now)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(self.sim, "syscall", tile=self.tile_id, act=caller,
+                        op=call.op.value)
         try:
             handler = getattr(self, f"_sys_{call.op.value}")
             value = yield from handler(caller, call.args)

@@ -108,11 +108,10 @@ class ActivityApi:
                                                  self.act.name)
         self.mux.stats.counter("recovery/retransmits").add()
         delay = policy.backoff_ps(attempt, self._jitter_rng)
-        metrics = self.sim.metrics
-        if metrics is not None:
-            tile = self.mux.tile_id
-            metrics.inc(f"tile{tile}/recovery/retransmits")
-            metrics.observe(f"tile{tile}/recovery/backoff_ps", delay)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(self.sim, "retransmit", tile=self.mux.tile_id,
+                        act=self.act.act_id, attempt=attempt, backoff=delay)
         yield delay
 
     # ------------------------------------------------------------- compute

@@ -103,10 +103,10 @@ class M3xActivityApi(ActivityApi):
             "src_credit_ep": credit_ep,
         })
         self.mux.stats.counter("m3x/slow_paths").add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc(f"tile{self.vdtu.tile}/m3x/slow_paths",
-                               self.sim.now)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(self.sim, "m3x_slowpath", tile=self.vdtu.tile,
+                        ep=ep, dst_tile=send_ep.dst_tile)
 
     def send_nowait(self, ep: int, data: Any, size: int,
                     reply_ep: Optional[int] = None,
@@ -577,9 +577,9 @@ class M3xController(Controller):
         nxt = self.acts[ready.pop(0)]
         yield from self._restore_context(nxt)
         self.stats.counter("m3x/switches").add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc("ctrl/switches", self.sim.now)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(self.sim, "m3x_switch", tile=tile, act=nxt.act_id)
 
     @staticmethod
     def _blocked(act: Activity) -> bool:
@@ -794,12 +794,11 @@ class M3xController(Controller):
             ready.append(act.act_id)
         yield from self._schedule_tile(act.tile_id)
         self.stats.counter("ctrl/forwards").add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            now = self.sim.now
-            metrics.series_inc("ctrl/forwards", now)
-            metrics.sample("ctrl/slowpath_q", now,
-                           sum(len(r) for r in self._tile_ready.values()))
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(self.sim, "m3x_forward", tile=act.tile_id,
+                        act=act.act_id, slowpath_q=sum(
+                            len(r) for r in self._tile_ready.values()))
         return None
 
     def _deliver_direct(self, args) -> Generator:

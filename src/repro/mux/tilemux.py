@@ -156,13 +156,9 @@ class TileMux:
         yield self.clock.cycles_to_ps(cycles)
 
     def _count_sched(self, name: str) -> None:
-        """Per-policy scheduling counter, mirrored into the metrics
-        registry so ``repro stats`` surfaces it per point."""
+        """Per-policy scheduling counter (always on; ``repro stats``
+        meters the same events from the trace)."""
         self.stats.counter(f"tile{self.tile_id}/sched/{name}").add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc(f"tile{self.tile_id}/sched/{name}",
-                               self.sim.now)
 
     def _emit(self, kind: str, **fields) -> None:
         tracer = self.sim.tracer
@@ -194,10 +190,10 @@ class TileMux:
 
     def _pick(self) -> Generator:
         yield self._sched_pick_ps
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.sample(f"tile{self.tile_id}/tilemux/ready_q",
-                           self.sim.now, len(self.ready))
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(self.sim, "tmux_pick", tile=self.tile_id,
+                        qlen=len(self.ready))
         if self.ready:
             return self.ready.popleft()
         return None
@@ -248,13 +244,10 @@ class TileMux:
             self._ctr_switches.add()
             self._last_dispatched = ctx
             yield from self._switch_vdtu(ctx.act_id, ctx.msgs)
-            metrics = self.sim.metrics
-            if metrics is not None:
-                now = self.sim.now
-                metrics.series_inc(
-                    f"tile{self.tile_id}/tilemux/ctx_switches", now)
-                metrics.observe(f"tile{self.tile_id}/tilemux/switch_ps",
-                                now - switch_start)
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.emit(self.sim, "ctx_switch", tile=self.tile_id,
+                            act=ctx.act_id, dur=self.sim.now - switch_start)
         else:
             yield from self._switch_vdtu(ctx.act_id, ctx.msgs)
         ctx.msgs = 0  # now live in CUR_ACT
@@ -288,6 +281,7 @@ class TileMux:
                 ctx._resume_value = inject_val  # re-inject after preemption
                 self.ready.append(ctx)
                 if self.ready.on_preempt(ctx):
+                    self._emit("slice_autotune", act=ctx.act_id)
                     self._count_sched("slice_autotune")
                 self._emit("preempt", act=ctx.act_id)
                 self.stats.counter("tilemux/preemptions").add()
@@ -423,6 +417,7 @@ class TileMux:
     def _sched_trap(self, ctx: Activity) -> None:
         """Tell the policy the activity gave up the core early."""
         if self.ready.on_trap(ctx):
+            self._emit("slice_autotune", act=ctx.act_id)
             self._count_sched("slice_autotune")
 
     def _wake_after(self, ctx: Activity, deadline: int) -> Generator:

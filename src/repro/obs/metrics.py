@@ -1,41 +1,67 @@
 """The metrics registry: counters, gauges and histograms on sim time.
 
-Design constraints, in order:
+A :class:`MetricsRegistry` is a trace subscriber: :data:`METRICS` maps
+each trace kind (:mod:`repro.sim.trace`) to the metrics it feeds, so
+metric names live in this module only and the models have one
+instrumentation path, ``tracer.emit``.  Design constraints, in order:
 
-1. **Zero cost when off.**  Exactly like tracing, a disabled registry
-   costs one attribute load + ``is not None`` per instrumented site;
-   the registry is only consulted through ``sim.metrics``.
-2. **No observer effect when on.**  Instrumentation only *reads*
-   simulation state — it never advances time, touches the RNG or
-   allocates ids the canonical trace serializer sees — so enabling
-   metrics leaves traces byte-identical (asserted by the zero-cost
-   test suite).
+1. **Zero cost when off.**  Without a tracer every emit site costs one
+   attribute load + ``is not None``.
+2. **No observer effect when on.**  The registry only *reads* trace
+   events, so enabling metrics leaves traces byte-identical (asserted
+   by the zero-cost test suite).
 3. **Bounded memory.**  Time series are throttled: a gauge records a
    point only when the value changed or ``interval_ps`` of simulated
    time passed since the last point.
 
-Name convention: ``tile<N>/<component>/<metric>`` for per-tile series,
-``ctrl/<metric>`` for the controller, ``sim/<metric>`` for the engine.
-Everything is JSON-safe via :meth:`MetricsRegistry.as_dict`.
+Name convention: ``tile<N>/<component>/<metric>`` for per-tile series
+(``<N>`` is the event's ``tile`` field), ``ctrl/<metric>`` for the
+controller.  Everything is JSON-safe via :meth:`MetricsRegistry.as_dict`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Gauge",
+    "METRICS",
     "MetricsRegistry",
     "capture_metrics",
-    "install_metrics",
-    "uninstall_metrics",
 ]
 
-# default simulated-time throttle between gauge points (10 us)
-DEFAULT_GAUGE_INTERVAL_PS = 10_000_000
-# default simulated-time throttle between event-queue depth samples
-DEFAULT_EVQ_INTERVAL_PS = 10_000_000
+# simulated-time throttle between gauge points (10 us)
+GAUGE_INTERVAL_PS = 10_000_000
+
+# trace kind -> the metrics it feeds, as (write, name, field) triples.
+# ``write`` is "inc" (counter), "series" (counter plus a throttled series
+# of its running total), "sample" (gauge of ``field``) or "observe"
+# (histogram of ``field``); ``{tile}`` in a name is the event's tile.
+METRICS: Dict[str, Tuple[Tuple[str, str, Optional[str]], ...]] = {
+    "credit_stall": (("inc", "tile{tile}/dtu/credit_stalls", None),),
+    "send_done": (("series", "tile{tile}/dtu/sends", None),),
+    "recv_done": (("series", "tile{tile}/dtu/recvs", None),),
+    "core_req_enq": (("sample", "tile{tile}/vdtu/core_req_q", "qlen"),),
+    "core_req_ack": (("sample", "tile{tile}/vdtu/core_req_q", "qlen"),),
+    "tmux_pick": (("sample", "tile{tile}/tilemux/ready_q", "qlen"),),
+    "ctx_switch": (("series", "tile{tile}/tilemux/ctx_switches", None),
+                   ("observe", "tile{tile}/tilemux/switch_ps", "dur")),
+    "preempt": (("series", "tile{tile}/sched/preempts", None),),
+    "slice_autotune": (("series", "tile{tile}/sched/slice_autotune", None),),
+    "migrate_out": (("series", "tile{tile}/sched/migrations_out", None),),
+    "migrate_in": (("series", "tile{tile}/sched/migrations_in", None),),
+    "syscall": (("series", "ctrl/syscalls", None),),
+    "syscall_q": (("sample", "ctrl/sysc_q", "qlen"),),
+    "m3x_slowpath": (("series", "tile{tile}/m3x/slow_paths", None),),
+    "m3x_forward": (("series", "ctrl/forwards", None),
+                    ("sample", "ctrl/slowpath_q", "slowpath_q")),
+    "m3x_switch": (("series", "ctrl/switches", None),),
+    "msg_timeout": (("inc", "tile{tile}/recovery/ack_timeouts", None),),
+    "msg_dedup": (("inc", "tile{tile}/recovery/dedup_hits", None),),
+    "retransmit": (("inc", "tile{tile}/recovery/retransmits", None),
+                   ("observe", "tile{tile}/recovery/backoff_ps", "backoff")),
+}
 
 
 class Gauge:
@@ -43,8 +69,7 @@ class Gauge:
 
     __slots__ = ("name", "series", "interval_ps", "_next_ts", "_last")
 
-    def __init__(self, name: str,
-                 interval_ps: int = DEFAULT_GAUGE_INTERVAL_PS):
+    def __init__(self, name: str, interval_ps: int = GAUGE_INTERVAL_PS):
         self.name = name
         self.series: List[Tuple[int, float]] = []
         self.interval_ps = interval_ps
@@ -65,13 +90,6 @@ class Gauge:
     @property
     def last(self):
         return self._last
-
-    def stats(self) -> Dict[str, float]:
-        values = [v for _, v in self.series]
-        if not values:
-            return {"n": 0}
-        return {"n": len(values), "min": min(values), "max": max(values),
-                "mean": sum(values) / len(values), "last": values[-1]}
 
 
 class _Histogram:
@@ -99,24 +117,41 @@ class _Histogram:
 class MetricsRegistry:
     """Counters, throttled gauges, cumulative time series, histograms.
 
-    One registry usually spans a whole workload (all simulators built
-    while it is installed share it — multi-platform points aggregate,
+    One registry usually spans a whole workload (every simulator on the
+    tracer it subscribes to feeds it — multi-platform points aggregate,
     which is what the figure-level summaries want).
     """
 
-    def __init__(self, gauge_interval_ps: int = DEFAULT_GAUGE_INTERVAL_PS,
-                 evq_interval_ps: int = DEFAULT_EVQ_INTERVAL_PS):
+    def __init__(self, gauge_interval_ps: int = GAUGE_INTERVAL_PS):
         self.gauge_interval_ps = gauge_interval_ps
-        self.evq_interval_ps = evq_interval_ps
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, _Histogram] = {}
-        # engine hot path: per-event-class pop counts + queue depth
-        self.event_counts: Dict[str, int] = {}
-        self._evq_series: List[Tuple[int, int]] = []
-        self._evq_next = -1
 
-    # -- write paths (instrumentation sites) ----------------------------------
+    # -- wiring ----------------------------------------------------------------
+
+    def attach(self, tracer) -> "MetricsRegistry":
+        tracer.subscribe(self.on_event)
+        return self
+
+    def on_event(self, ev) -> None:
+        """Trace subscriber: apply the :data:`METRICS` row of ``ev.kind``."""
+        writes = METRICS.get(ev.kind)
+        if writes is None:
+            return
+        fields = ev.fields
+        for write, name, field in writes:
+            name = name.format_map(fields)
+            if write == "series":
+                self.series_inc(name, ev.ts)
+            elif write == "inc":
+                self.inc(name)
+            elif write == "sample":
+                self.sample(name, ev.ts, fields[field])
+            else:
+                self.observe(name, fields[field])
+
+    # -- write paths -----------------------------------------------------------
 
     def inc(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
@@ -143,88 +178,62 @@ class MetricsRegistry:
             h = self.histograms[name] = _Histogram(name)
         h.observe(value)
 
-    def on_step(self, sim, event) -> None:
-        """Engine hook: called once per processed event (hot path)."""
-        cls = type(event).__name__
-        self.event_counts[cls] = self.event_counts.get(cls, 0) + 1
-        now = sim.now
-        if now >= self._evq_next:
-            self._evq_series.append((now, len(sim._eq)))
-            self._evq_next = now + self.evq_interval_ps
-
     # -- read paths ------------------------------------------------------------
 
     def counter_value(self, name: str) -> int:
         return self.counters.get(name, 0)
 
     def series(self, name: str) -> List[Tuple[int, float]]:
-        if name == "sim/evq_depth":
-            return list(self._evq_series)
         g = self.gauges.get(name)
         return list(g.series) if g is not None else []
 
     def series_names(self) -> List[str]:
-        names = sorted(self.gauges)
-        if self._evq_series:
-            names.append("sim/evq_depth")
-        return names
+        return sorted(self.gauges)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe snapshot (also the pickle-friendly pool format)."""
         return {
             "counters": dict(sorted(self.counters.items())),
-            "event_counts": dict(sorted(self.event_counts.items())),
             "gauges": {name: [[ts, v] for ts, v in g.series]
                        for name, g in sorted(self.gauges.items())},
             "histograms": {name: h.summary()
                            for name, h in sorted(self.histograms.items())},
-            "evq_depth": [[ts, v] for ts, v in self._evq_series],
         }
 
     @staticmethod
     def merge_dicts(dicts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-        """Aggregate several :meth:`as_dict` snapshots (counter sums;
-        series and histograms keep the per-point granularity by prefix
-        is the caller's business, so they are dropped here)."""
+        """Aggregate several :meth:`as_dict` snapshots by summing their
+        counters.  Series and histograms are per point, so they are
+        dropped; callers that want them read each snapshot."""
         counters: Dict[str, int] = {}
-        event_counts: Dict[str, int] = {}
         for d in dicts:
             if not d:
                 continue
             for k, v in d.get("counters", {}).items():
                 counters[k] = counters.get(k, 0) + v
-            for k, v in d.get("event_counts", {}).items():
-                event_counts[k] = event_counts.get(k, 0) + v
-        return {"counters": counters, "event_counts": event_counts}
-
-
-# -- global installation (mirrors repro.sim.trace) ----------------------------
-
-def install_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the default for new Simulators."""
-    from repro.sim import engine
-
-    engine.set_default_metrics(registry)
-    return registry
-
-
-def uninstall_metrics() -> None:
-    from repro.sim import engine
-
-    engine.set_default_metrics(None)
+        return {"counters": counters}
 
 
 @contextmanager
 def capture_metrics(registry: Optional[MetricsRegistry] = None):
     """Meter every simulator built inside the block.
 
+    The registry subscribes to the installed tracer (``repro trace``, a
+    golden recording) or, without one, to a record-free tracer installed
+    for the block.
+
     >>> with capture_metrics() as metrics:
     ...     run_fig6(Fig6Params(iterations=10, warmup=2))
     >>> metrics.counter_value("tile0/dtu/sends")
     """
+    from repro.sim import engine
+    from repro.sim.trace import capture
+
     registry = registry if registry is not None else MetricsRegistry()
-    install_metrics(registry)
-    try:
+    with ExitStack() as stack:
+        tracer = engine._default_tracer
+        if tracer is None:
+            tracer = stack.enter_context(capture(record=False))
+        registry.attach(tracer)
+        stack.callback(tracer.unsubscribe, registry.on_event)
         yield registry
-    finally:
-        uninstall_metrics()

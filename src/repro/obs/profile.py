@@ -7,6 +7,10 @@ processed per second.  This seeds the BENCH trajectory — a perf
 regression in, say, the DTU receive loop shows up as that bucket's
 share growing run over run.
 
+It is also the engine's one per-step hook, so it carries the engine's
+self-observation: events processed per event class and the event-queue
+depth, sampled every :data:`EVQ_INTERVAL_PS` of simulated time.
+
 Attribution is by :class:`~repro.sim.engine.Process` name prefix
 (``tilemux3`` → ``tilemux``, ``dtu2-rx`` → ``dtu``, ``controller`` →
 ``controller``, …); unnamed callbacks land in ``other``.  The engine
@@ -21,6 +25,9 @@ from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["SelfProfiler", "capture_profile"]
+
+# simulated-time throttle between event-queue depth samples (10 us)
+EVQ_INTERVAL_PS = 10_000_000
 
 # (prefix, bucket) — first match wins; checked against Process.name
 _BUCKET_PREFIXES: Tuple[Tuple[str, str], ...] = (
@@ -44,6 +51,10 @@ class SelfProfiler:
         self._started = time.perf_counter()
         self._wall_s: Optional[float] = None
         self._name_cache: Dict[str, str] = {}
+        self.event_counts: Dict[str, int] = {}
+        # (sim time, queue length) — per profiled point, not merged
+        self.evq_depth: List[Tuple[int, int]] = []
+        self._evq_next = -1
 
     # -- engine hooks ----------------------------------------------------------
 
@@ -69,8 +80,15 @@ class SelfProfiler:
         entry[0] += dt
         entry[1] += 1
 
-    def on_step(self) -> None:
+    def on_step(self, sim, event) -> None:
+        """Engine hook: called once per processed event (hot path)."""
         self.events += 1
+        cls = type(event).__name__
+        self.event_counts[cls] = self.event_counts.get(cls, 0) + 1
+        now = sim.now
+        if now >= self._evq_next:
+            self.evq_depth.append((now, len(sim._eq)))
+            self._evq_next = now + EVQ_INTERVAL_PS
 
     # -- reporting -------------------------------------------------------------
 
@@ -119,11 +137,14 @@ class SelfProfiler:
             "events_per_sec": self.events_per_sec,
             "buckets": {b: {"wall_s": w, "callbacks": int(n)}
                         for b, (w, n) in sorted(self.buckets.items())},
+            "event_counts": dict(sorted(self.event_counts.items())),
+            "evq_depth": [[ts, n] for ts, n in self.evq_depth],
         }
 
     def merge(self, other_dict: Dict[str, Any]) -> None:
         """Fold another profiler's :meth:`as_dict` into this one
-        (used by the runner to aggregate across points)."""
+        (used by the runner to aggregate across points; the per-point
+        ``evq_depth`` series is not merged)."""
         if not other_dict:
             return
         self.stop()
@@ -135,6 +156,8 @@ class SelfProfiler:
                 mine = self.buckets[bucket] = [0.0, 0]
             mine[0] += entry.get("wall_s", 0.0)
             mine[1] += entry.get("callbacks", 0)
+        for cls, n in other_dict.get("event_counts", {}).items():
+            self.event_counts[cls] = self.event_counts.get(cls, 0) + n
 
 
 @contextmanager

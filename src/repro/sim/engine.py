@@ -44,13 +44,13 @@ Fast paths
   at the same instant as the equivalent ``yield sim.timeout(n)``, so
   traces are unchanged.
 * ``run`` and ``run_until_event`` share one drain loop,
-  ``Simulator._drain``.  With metrics and profiler both ``None`` (the
-  default) and the calendar queue, it inlines the queue, so the cost of
-  the hooks is a single check per *run call* instead of a chain of
-  ``if`` guards per event.  An attached tracer keeps the inlined loop:
-  the engine emits nothing per event, and every trace site is a model
-  site guarded by ``sim.tracer``.  Metrics, the profiler or the heap
-  queue send every event through :meth:`Simulator.step`.
+  ``Simulator._drain``.  With no profiler (the default) and the
+  calendar queue, it inlines the queue, so the cost of the hook is a
+  single check per *run call* instead of a guard per event.  An
+  attached tracer keeps the inlined loop: the engine emits nothing per
+  event, and every trace site is a model site guarded by
+  ``sim.tracer``; metrics subscribe to that trace.  The profiler or the
+  heap queue send every event through :meth:`Simulator.step`.
 """
 
 from __future__ import annotations
@@ -88,18 +88,10 @@ def set_default_tracer(tracer) -> None:
     _default_tracer = tracer
 
 
-# Default metrics registry / self-profiler, same contract as the tracer:
-# picked up by newly constructed Simulators, None keeps the hooks free
-# (see repro.obs).
-_default_metrics = None
+# Default self-profiler, same contract as the tracer: picked up by newly
+# constructed Simulators, None keeps the per-step hook free (see
+# repro.obs.profile).
 _default_profiler = None
-
-
-def set_default_metrics(metrics) -> None:
-    """Install (or clear, with None) the metrics registry for new
-    Simulators."""
-    global _default_metrics
-    _default_metrics = metrics
 
 
 def set_default_profiler(profiler) -> None:
@@ -519,7 +511,6 @@ class Simulator:
         self.tracer = _default_tracer
         self.trace_id = (_default_tracer.register_sim()
                          if _default_tracer is not None else 0)
-        self.metrics = _default_metrics
         self.profiler = _default_profiler
 
     # -- factories -----------------------------------------------------------
@@ -595,9 +586,6 @@ class Simulator:
         when, event = self._eq.pop()
         self.now = when
         _events_processed += 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.on_step(self, event)
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
         profiler = self.profiler
@@ -605,7 +593,7 @@ class Simulator:
             for callback in callbacks:
                 callback(event)
         else:
-            profiler.on_step()
+            profiler.on_step(self, event)
             clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
             for callback in callbacks:
                 t0 = clock()
@@ -644,15 +632,14 @@ class Simulator:
         """Process events until ``stop`` triggers, the queue empties, or
         the next event lies past ``bound`` (``None``: no bound).
 
-        With metrics and profiler off and the calendar queue the loop
-        inlines the queue, tracer or not (see "Fast paths" in the module
+        With the profiler off and the calendar queue the loop inlines
+        the queue, tracer or not (see "Fast paths" in the module
         docstring); otherwise every event goes through :meth:`step`.
         """
         global _events_processed
         q = self._eq
         pending = _PENDING
-        if (self.metrics is not None or self.profiler is not None
-                or type(q) is not CalendarEventQueue):
+        if self.profiler is not None or type(q) is not CalendarEventQueue:
             while stop._value is pending:
                 when = q.peek()
                 if when is None or (bound is not None and when > bound):
@@ -660,9 +647,8 @@ class Simulator:
                 self.step()
             return
         # The queue's _head/_len are only read by pop()/peek()/len(), none
-        # of which can run while this loop owns the queue (no metrics, no
-        # profiler), so both are maintained in locals and written back on
-        # exit.
+        # of which can run while this loop owns the queue (no profiler), so
+        # both are maintained in locals and written back on exit.
         buckets = q._buckets
         times = q._times
         pop_time = heapq.heappop

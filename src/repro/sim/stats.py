@@ -12,7 +12,7 @@ benchmark harness can print uniform tables:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class Counter:
@@ -155,9 +155,6 @@ class StatRegistry:
 
     def counter_value(self, name: str) -> int:
         return self._counters[name].value if name in self._counters else 0
-
-    def histogram_or_none(self, name: str) -> Optional[Histogram]:
-        return self._histograms.get(name)
 
     def snapshot(self) -> Dict[str, float]:
         """A flat dict of counter values and histogram means, for reports."""

@@ -19,9 +19,12 @@ kind                 fields
 ``noc_deliver``      ``src, dst, pkt, pid, qlen`` — packet accepted by the
                      destination tile's input queue (after backpressure)
 ``msg_send``         ``tile, ep, dst_tile, dst_ep, size, uid, reply``
+``send_done``        ``tile, ep, uid`` — SEND acknowledged by the receiver
+``credit_stall``     ``tile, ep`` — SEND refused: no credits left
 ``msg_bounce``       ``tile, uid, error`` — send failed at the receiver
 ``msg_deliver``      ``tile, ep, act, uid, unread`` — deposited into a
                      receive endpoint (``unread`` = count after deposit)
+``recv_done``        ``tile, ep, uid`` — deposit done, sender acknowledged
 ``msg_fetch``        ``tile, ep, act, uid, unread``
 ``msg_ack``          ``tile, ep, act, uid, unread, freed_unread``
 ``ep_install``       ``tile, ep, ep_kind, act, unread`` — endpoint (re)configured
@@ -42,7 +45,20 @@ kind                 fields
 ``act_block``        ``tile, act`` — multiplexer committed a block
 ``act_wake``         ``tile, act, reason`` — blocked activity made ready
 ``act_exit``         ``tile, act`` — activity left the tile
+``tmux_pick``        ``tile, qlen`` — TileMux picks among ``qlen`` ready
+``ctx_switch``       ``tile, act, dur`` — context switch took ``dur`` ps
 ``preempt``          ``tile, act`` — time-slice preemption
+``slice_autotune``   ``tile, act`` — the scheduling policy retuned a slice
+``migrate``          ``tile, act, src, dst`` — controller migrated ``act``
+``migrate_out``      ``tile, act`` — TileMux detached a migrating activity
+``migrate_in``       ``tile, act`` — TileMux adopted a migrated activity
+``syscall``          ``tile, act, op`` — controller began a system call
+``syscall_q``        ``tile, qlen`` — unread syscalls + notifications
+``m3x_slowpath``     ``tile, ep, dst_tile`` — M3x send to a descheduled
+                     recipient goes through the controller (section 2.2)
+``m3x_forward``      ``tile, act, slowpath_q`` — M3x controller delivered
+                     it; ``slowpath_q`` = ready activities on all tiles
+``m3x_switch``       ``tile, act`` — M3x controller installed ``act``
 ``tlb_fill``         ``tile, act, vpage, ppage``
 ``tlb_evict``        ``tile, act, vpage``
 ``pkt_drop``         ``src, dst, pkt, uid`` — fault injector swallowed a
@@ -53,6 +69,7 @@ kind                 fields
                      by the receive endpoint's sequence store
 ``msg_timeout``      ``tile, uid`` — no acknowledgement within the
                      recovery policy's ack-timeout window
+``retransmit``       ``tile, act, attempt, backoff`` — resend after backoff
 ``ep_fault``         ``tile, ep`` — transient endpoint glitch injected
 ``tile_stuck``       ``tile, until`` — tile stops draining its inbox
 ``watchdog``         ``tile, act, slices`` — TileMux watchdog reported a
@@ -74,7 +91,7 @@ from collections import Counter as _KindCounter
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-__all__ = ["TraceEvent", "Tracer", "capture", "install", "uninstall"]
+__all__ = ["TraceEvent", "Tracer", "capture"]
 
 
 class TraceEvent:
@@ -145,6 +162,9 @@ class Tracer:
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         self._subscribers.append(callback)
 
+    def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:
+        self._subscribers.remove(callback)
+
     # -- emission -------------------------------------------------------------
 
     def emit(self, sim, kind: str, **fields: Any) -> None:
@@ -166,44 +186,36 @@ class Tracer:
         """Event counts by kind (for digests and quick looks)."""
         return dict(_KindCounter(ev.kind for ev in self.events))
 
-    def of_kind(self, *kinds: str) -> List[TraceEvent]:
-        want = frozenset(kinds)
-        return [ev for ev in self.events if ev.kind in want]
-
 
 # -- global installation ------------------------------------------------------
 #
 # Experiment entry points (fig6, fig8, ...) build their platforms
-# internally; `install`/`capture` make every Simulator constructed while
-# active pick up the tracer, without threading it through the builders.
-
-def install(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the default for newly created Simulators."""
-    from repro.sim import engine
-
-    engine.set_default_tracer(tracer)
-    return tracer
-
-
-def uninstall() -> None:
-    from repro.sim import engine
-
-    engine.set_default_tracer(None)
-
+# internally; `capture` makes every Simulator constructed while active
+# pick up the tracer, without threading it through the builders.
 
 @contextmanager
 def capture(exclude: Iterable[str] = (), record: bool = True,
             tracer: Optional[Tracer] = None):
     """Context manager: trace every simulator built inside the block.
 
+    Nested inside another capture, the enclosing tracer's subscribers
+    (e.g. a metrics registry) also receive this tracer's events, and
+    the enclosing tracer is reinstalled on exit.
+
     >>> with capture() as tracer:
     ...     run_fig6(Fig6Params(iterations=10, warmup=2))
     >>> len(tracer.events)
     """
+    from repro.sim import engine
+
+    outer = engine._default_tracer
     tracer = tracer if tracer is not None else Tracer(exclude=exclude,
                                                       record=record)
-    install(tracer)
+    if outer is not None and outer is not tracer:
+        for callback in outer._subscribers:
+            tracer.subscribe(callback)
+    engine.set_default_tracer(tracer)
     try:
         yield tracer
     finally:
-        uninstall()
+        engine.set_default_tracer(outer)

@@ -97,11 +97,10 @@ def test_config_layers_do_not_leak_into_engine_defaults():
     system = build_system(_small("m3v", trace=TraceSpec(record=True),
                                  metrics=MetricsSpec()))
     assert engine._default_tracer is None
-    assert engine._default_metrics is None
-    # ...but the built simulator latched them
+    # ...but the built simulator latched the tracer, which feeds metrics
     assert system.sim.tracer is system.tracer
-    assert system.sim.metrics is system.metrics
     assert system.tracer is not None and system.metrics is not None
+    assert system.metrics.on_event in system.tracer._subscribers
 
 
 def test_metrics_spec_with_spans_attaches_a_collector():

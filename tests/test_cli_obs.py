@@ -27,7 +27,7 @@ def test_stats_prints_series_and_aggregate_counters(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "aggregate counters" in out
     assert "tile0/dtu/sends" in out
-    assert "sim/evq_depth" in out
+    assert "sim/evq_depth" not in out      # engine self-observation: profile
 
 
 def test_stats_series_filter(tmp_path, capsys):
@@ -46,6 +46,8 @@ def test_profile_emits_subsystem_table(capsys):
     assert "subsystem" in out
     assert "events/s" in out
     assert "tilemux" in out
+    assert "events by class:" in out
+    assert "sim/evq_depth" in out
 
 
 def test_metrics_out_writes_per_point_artifacts(tmp_path, capsys):

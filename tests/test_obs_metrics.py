@@ -1,5 +1,5 @@
-"""The metrics registry: primitives, instrumentation, determinism,
-and the runner's metrics-artifact sidecars."""
+"""The metrics registry: primitives, the trace-kind table, metered
+workloads, and the runner's metrics-artifact sidecars."""
 
 import json
 from dataclasses import dataclass
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.obs import MetricsRegistry, capture_metrics
-from repro.obs.metrics import Gauge
+from repro.obs.metrics import METRICS, Gauge
 from repro.runner import ResultCache, Runner, Sweep, register, unregister
 
 
@@ -52,28 +52,6 @@ def test_histogram_summary_percentiles():
     assert s["p99"] == pytest.approx(99, abs=1)
 
 
-def test_on_step_counts_event_classes_and_samples_queue_depth():
-    from repro.sim.engine import Simulator
-
-    m = MetricsRegistry(evq_interval_ps=0)
-    sim = Simulator()
-    sim.metrics = m
-    done = []
-
-    def proc():
-        yield sim.timeout(100)
-        yield sim.timeout(100)
-        done.append(sim.now)
-
-    sim.process(proc())
-    sim.run(until=1_000)
-    assert done
-    assert sum(m.event_counts.values()) > 0
-    depths = m.series("sim/evq_depth")
-    assert depths and all(isinstance(ts, int) for ts, _ in depths)
-    assert "sim/evq_depth" in m.series_names()
-
-
 def test_as_dict_is_json_safe_and_merge_sums_counters():
     m = MetricsRegistry()
     m.inc("x", 2)
@@ -83,6 +61,32 @@ def test_as_dict_is_json_safe_and_merge_sums_counters():
     json.dumps(d)   # must not raise
     merged = MetricsRegistry.merge_dicts([d, d, None, {}])
     assert merged["counters"]["x"] == 4
+
+
+# -- the trace-kind table -----------------------------------------------------
+
+def test_every_metered_kind_is_a_documented_trace_kind():
+    from repro.sim import trace
+
+    for kind in METRICS:
+        assert f"``{kind}``" in trace.__doc__, kind
+
+
+def test_registry_applies_the_table_row_of_each_event():
+    from repro.sim.trace import TraceEvent
+
+    m = MetricsRegistry(gauge_interval_ps=0)
+    m.on_event(TraceEvent(0, 100, 0, "ctx_switch",
+                          {"tile": 3, "act": 7, "dur": 250}))
+    m.on_event(TraceEvent(1, 200, 0, "m3x_forward",
+                          {"tile": 1, "act": 7, "slowpath_q": 2}))
+    m.on_event(TraceEvent(2, 300, 0, "act_block", {"tile": 3, "act": 7}))
+    assert m.series("tile3/tilemux/ctx_switches") == [(100, 1)]
+    assert m.as_dict()["histograms"]["tile3/tilemux/switch_ps"]["max"] == 250
+    assert m.counter_value("ctrl/forwards") == 1
+    assert m.series("ctrl/slowpath_q") == [(200, 2)]
+    assert sorted(m.counters) == ["ctrl/forwards",
+                                  "tile3/tilemux/ctx_switches"]
 
 
 # -- instrumented workloads ---------------------------------------------------
@@ -107,6 +111,24 @@ def test_fig6_point_populates_dtu_and_tilemux_metrics():
     assert "tile0/vdtu/core_req_q" in names
     switch = m.as_dict()["histograms"]["tile0/tilemux/switch_ps"]
     assert switch["count"] > 0 and switch["min"] > 0
+
+
+def test_metered_point_never_steps(monkeypatch):
+    # metrics ride the trace, which keeps the inlined drain loop: a
+    # metered point must not send its events through Simulator.step
+    from repro.sim.engine import Simulator
+
+    steps = []
+    orig = Simulator.step
+
+    def counted(sim):
+        steps.append(sim.now)
+        return orig(sim)
+
+    monkeypatch.setattr(Simulator, "step", counted)
+    m = _fig6_m3v_counters()
+    assert m.counter_value("tile0/dtu/sends") > 0
+    assert steps == []
 
 
 def test_metrics_are_deterministic_across_runs():
@@ -154,8 +176,8 @@ def _toy_point(cfg):
     sim = Simulator()
 
     def proc():
-        if sim.metrics is not None:
-            sim.metrics.inc("toy/ran")
+        if sim.tracer is not None:
+            sim.tracer.emit(sim, "syscall", tile=0, act=1, op="noop")
         yield sim.timeout(100)
 
     sim.process(proc())
@@ -181,7 +203,7 @@ def test_runner_stores_metrics_sidecars_next_to_results(toy_sweep, tmp_path):
     assert cold.simulated == 2
     for o in cold.last_outcomes:
         assert o.metrics is not None
-        assert o.metrics["counters"]["toy/ran"] == 1
+        assert o.metrics["counters"]["ctrl/syscalls"] == 1
         sidecar = cache.artifact_path(o.key, "metrics")
         assert sidecar.exists()
 
@@ -189,7 +211,7 @@ def test_runner_stores_metrics_sidecars_next_to_results(toy_sweep, tmp_path):
                   metrics=True)
     warm.run_sweep("toy-obs")
     assert warm.simulated == 0 and warm.served == 2
-    assert all(o.metrics["counters"]["toy/ran"] == 1
+    assert all(o.metrics["counters"]["ctrl/syscalls"] == 1
                for o in warm.last_outcomes)
 
 
@@ -207,6 +229,19 @@ def test_cache_hit_without_sidecar_resimulates(toy_sweep, tmp_path):
     warm = Runner(jobs=1, cache=ResultCache(root=root), metrics=True)
     warm.run_sweep("toy-obs")
     assert warm.simulated == 0 and warm.served == 2
+
+
+def test_traced_and_metered_run_returns_digest_and_metrics():
+    # run_point nests capture() inside capture_metrics(): the trace
+    # tracer must feed the enclosing registry
+    from repro.core.exps.fig6 import Fig6Params
+
+    runner = Runner(jobs=1, trace=True, metrics=True)
+    runner.run_sweep("fig6", Fig6Params(iterations=10, warmup=2))
+    m3v = [o for o in runner.last_outcomes
+           if o.spec.config.kind == "m3v_local"]
+    assert m3v and m3v[0].trace_digest["n_events"] > 0
+    assert m3v[0].metrics["counters"]["tile0/dtu/sends"] > 0
 
 
 def test_unmetered_run_ignores_sidecars(toy_sweep, tmp_path):

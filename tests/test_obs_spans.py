@@ -141,9 +141,12 @@ def test_capture_profile_measures_a_workload():
 
 
 def test_profile_dict_round_trip_and_merge():
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
     p = SelfProfiler()
     p.record(None, 0.25)
-    p.on_step()
+    p.on_step(sim, sim.event())
     p.stop()
     d = p.as_dict()
     json.dumps(d)
@@ -151,5 +154,28 @@ def test_profile_dict_round_trip_and_merge():
     merged.merge(d)
     merged.merge(d)
     assert merged.events == 2
+    assert merged.event_counts == {"Event": 2}
     assert merged.buckets["other"][0] == pytest.approx(0.5)
     assert merged.buckets["other"][1] == 2
+
+
+def test_profiler_on_step_counts_event_classes_and_samples_queue_depth():
+    from repro.sim.engine import Simulator
+
+    prof = SelfProfiler()
+    sim = Simulator()
+    sim.profiler = prof
+    done = []
+
+    def proc():
+        yield sim.timeout(100)
+        yield sim.timeout(100)
+        done.append(sim.now)
+
+    sim.process(proc())
+    sim.run(until=1_000)
+    assert done
+    assert sum(prof.event_counts.values()) == prof.events > 0
+    assert prof.evq_depth and all(isinstance(ts, int)
+                                  for ts, _ in prof.evq_depth)
+    assert prof.as_dict()["evq_depth"] == [list(s) for s in prof.evq_depth]

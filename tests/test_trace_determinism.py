@@ -52,6 +52,26 @@ def test_trace_structure(twice, name):
     assert "evq_pop" not in tracer.kinds()
 
 
+def test_every_emitted_kind_has_a_schema_row():
+    """Each kind literal passed to ``emit``/``_emit`` under src/repro is
+    documented in the schema table of the repro.sim.trace docstring."""
+    import re
+    from pathlib import Path
+
+    import repro
+    from repro.sim import trace
+
+    call = re.compile(r'(?:\.emit|\b_emit)\(\s*(?:[\w.]+\s*,\s*)?"(\w+)"')
+    rows = set(re.findall(r"^``(\w+)``", trace.__doc__, re.MULTILINE))
+    emitted = {}
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for kind in call.findall(path.read_text()):
+            emitted.setdefault(kind, path.name)
+    assert len(emitted) > 30
+    missing = {k: f for k, f in emitted.items() if k not in rows}
+    assert not missing, f"trace kinds without a schema row: {missing}"
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_same_seed_traces_are_byte_identical(twice, name):
     first, second = twice[name]
