@@ -28,8 +28,7 @@ the ``repro.api`` facade.  Two sub-checks:
     directly (``os.environ[...]``, ``os.environ.get``, ``os.getenv``)
     instead of going through :func:`repro.sim.envcfg.raw`.  Scattered
     environment reads are how configuration precedence rules rot;
-    ``repro.sim.envcfg`` is the single declared home (and the facade
-    exposes the resolved snapshot as ``repro.api.env_overrides()``).
+    ``repro.sim.envcfg`` is the single declared home.
 """
 
 from __future__ import annotations
@@ -46,10 +45,8 @@ _PLATFORM_CLASSES = {"M3vPlatform", "M3Platform", "M3xPlatform",
                      "LinuxMachine"}
 
 # Modules allowed to touch the builders/platform classes: the facade
-# itself, the layer that defines them, and the package root's legacy
-# re-exports.
+# itself and the layers that define them.
 _FACADE_ALLOWED_PREFIXES = ("repro.core", "repro.api", "repro.linuxsim")
-_FACADE_ALLOWED_MODULES = ("repro", "repro.__init__")
 
 
 def check(ctx: LintContext) -> Iterator[Finding]:
@@ -125,11 +122,7 @@ def _facade_applies(ctx: LintContext) -> bool:
     top = ctx.path.split("/", 1)[0]
     if top == "tests":
         return False
-    if ctx.module.startswith(_FACADE_ALLOWED_PREFIXES):
-        return False
-    if ctx.module in _FACADE_ALLOWED_MODULES:
-        return False
-    return True
+    return not ctx.module.startswith(_FACADE_ALLOWED_PREFIXES)
 
 
 def _check_facade_bypass(ctx: LintContext) -> Iterator[Finding]:

@@ -1,14 +1,13 @@
 """The system-construction facade.
 
 >>> from repro.api import SystemConfig, MetricsSpec, build_system
->>> system = build_system(SystemConfig(kind="m3v", n_proc_tiles=2,
-...                                    metrics=MetricsSpec(spans=True)))
->>> system.controller          # delegates to the underlying platform
->>> system.metrics             # the attached MetricsRegistry
+>>> plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=2,
+...                                  metrics=MetricsSpec(spans=True)))
+>>> plat.controller            # build_system returns the platform itself
+>>> plat.metrics               # the attached MetricsRegistry
 
-The environment can *default* what a config leaves unset (see
-:func:`env_overrides`), but an explicit ``SystemConfig`` field always
-wins.
+``SystemConfig()`` is the FPGA prototype shape; keyword overrides
+(``build_system(kind="m3x", n_proc_tiles=4)``) patch it.
 """
 
 from repro.api.config import (
@@ -21,20 +20,16 @@ from repro.api.config import (
     SystemConfig,
     TraceSpec,
 )
-from repro.api.env import EnvOverrides, env_overrides
-from repro.api.system import System, build_system
+from repro.api.system import build_system
 
 __all__ = [
-    "EnvOverrides",
     "FaultSpec",
     "MetricsSpec",
     "PlacementSpec",
     "SYSTEM_KINDS",
     "SchedSpec",
     "ServingSpec",
-    "System",
     "SystemConfig",
     "TraceSpec",
     "build_system",
-    "env_overrides",
 ]

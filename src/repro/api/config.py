@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.platform import PlatformConfig
 from repro.faults import DEFAULT_DEADLINE_PS
 from repro.kernel.rebalance import PlacementSpec
 from repro.mux.recovery import RecoveryPolicy
@@ -47,11 +46,11 @@ class MetricsSpec:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Seeded lossy-link fault injection (:class:`repro.faults.HwFaultPlan`).
+    """Seeded lossy-link fault injection (:class:`repro.faults.FaultPlan`).
 
     ``seed`` may be any hashable (figR uses strings); ``rate`` is the
     drop probability per user-plane packet (corruption runs at a quarter
-    of it, matching ``HwFaultPlan.lossy``).  Rate 0 attaches nothing.
+    of it, matching ``FaultPlan.lossy``).  Rate 0 attaches nothing.
     """
 
     seed: Any = 0
@@ -96,13 +95,15 @@ class ServingSpec:
 class SystemConfig:
     """Everything :func:`repro.api.build_system` needs.
 
-    The hardware-shape fields mirror :class:`PlatformConfig` for the
-    tiled kinds (``m3v``/``m3``/``m3x``); the ``linux`` kind uses the
-    single-machine fields instead and ignores tile counts.
+    The defaults are the FPGA prototype of Figure 4: 8 BOOM processing
+    tiles, a controller on a Rocket core and 2 memory tiles of 64 MiB.
+    The tiled kinds (``m3v``/``m3``/``m3x``) keep this config as
+    ``plat.config``; the ``linux`` kind uses the single-machine fields
+    instead and ignores tile counts.
     """
 
     kind: str = "m3v"                       # m3v | m3 | m3x | linux
-    # tiled-platform shape (mirrors PlatformConfig)
+    # tiled-platform shape
     n_proc_tiles: int = 8
     proc_core: CoreCosts = BOOM
     controller_core: CoreCosts = ROCKET
@@ -110,6 +111,7 @@ class SystemConfig:
     dram_bytes: int = 64 * 1024 * 1024
     noc: NocParams = field(default_factory=NocParams)
     timeslice_us: float = 1000.0
+    # heterogeneous cores: tile index -> CoreCosts (overrides proc_core)
     core_overrides: Dict[int, CoreCosts] = field(default_factory=dict)
     dtu_overrides: Dict[str, int] = field(default_factory=dict)
     # linux machine shape
@@ -136,44 +138,6 @@ class SystemConfig:
         if self.placement is not None and self.kind != "m3v":
             raise ValueError(f"placement= (live migration) is m3v-only, "
                              f"not available on {self.kind!r}")
-
-    # -- converters -----------------------------------------------------------
-
-    def platform_config(self) -> PlatformConfig:
-        """The :class:`PlatformConfig` slice of this config."""
-        return PlatformConfig(
-            n_proc_tiles=self.n_proc_tiles,
-            proc_core=self.proc_core,
-            controller_core=self.controller_core,
-            n_mem_tiles=self.n_mem_tiles,
-            dram_bytes=self.dram_bytes,
-            noc=self.noc,
-            timeslice_us=self.timeslice_us,
-            core_overrides=dict(self.core_overrides),
-            dtu_overrides=dict(self.dtu_overrides),
-            sched=self.sched,
-            placement=self.placement,
-        )
-
-    @classmethod
-    def from_platform(cls, kind: str,
-                      config: Optional[PlatformConfig] = None,
-                      **layers) -> "SystemConfig":
-        """Lift a legacy :class:`PlatformConfig` into a SystemConfig."""
-        pc = config or PlatformConfig()
-        layers.setdefault("sched", pc.sched)
-        layers.setdefault("placement", pc.placement)
-        return cls(kind=kind,
-                   n_proc_tiles=pc.n_proc_tiles,
-                   proc_core=pc.proc_core,
-                   controller_core=pc.controller_core,
-                   n_mem_tiles=pc.n_mem_tiles,
-                   dram_bytes=pc.dram_bytes,
-                   noc=pc.noc,
-                   timeslice_us=pc.timeslice_us,
-                   core_overrides=dict(pc.core_overrides),
-                   dtu_overrides=dict(pc.dtu_overrides),
-                   **layers)
 
     def with_(self, **overrides) -> "SystemConfig":
         """Frozen-friendly ``replace`` shorthand."""

@@ -1,13 +1,13 @@
 """``build_system``: the one way to construct a simulated system.
 
-Historically every experiment hand-assembled its stack: pick a builder
-(``build_m3v``/``build_m3x``/``LinuxMachine``), then thread each
-cross-cutting layer (tracer, recovery policy, fault plan, now metrics)
-through by hand.  :func:`build_system` takes a frozen
-:class:`~repro.api.SystemConfig` and does all of it in one place; the
-result is a :class:`System` that exposes the layers uniformly and
-delegates everything else to the underlying platform or machine, so it
-drops into existing code that expects a ``plat``.
+:func:`build_system` takes a frozen :class:`~repro.api.SystemConfig`,
+builds the platform (``M3vPlatform``/``M3Platform``/``M3xPlatform``) or
+the ``LinuxMachine`` it describes, attaches the cross-cutting layers
+(tracer, metrics, spans, recovery policy, fault plan, serving stack)
+and returns that platform or machine itself.  The layers it attached
+are set on the result as ``config``, ``metrics``, ``spans`` and
+``serving``; the tracer and profiler are ``sim.tracer`` and
+``sim.profiler``.
 
 Globally installed defaults win: inside ``trace.capture()`` /
 ``obs.capture_metrics()`` / ``obs.capture_profile()`` blocks (and the
@@ -24,51 +24,12 @@ from dataclasses import replace
 from typing import Any, Optional
 
 from repro.api.config import SystemConfig
-from repro.api.env import env_overrides
 from repro.sim import engine
 
-__all__ = ["System", "build_system"]
+__all__ = ["build_system"]
 
 
-class System:
-    """A built system plus its attached observability layers.
-
-    Attribute access falls through to the wrapped platform/machine, so
-    a ``System`` is a drop-in replacement wherever a ``plat`` (or
-    ``LinuxMachine``) was used.
-    """
-
-    def __init__(self, config: SystemConfig, impl, tracer=None,
-                 metrics=None, spans=None):
-        self.config = config
-        self.kind = config.kind
-        self.impl = impl
-        self.sim = impl.sim
-        self.stats = impl.stats
-        self.tracer = tracer if tracer is not None else impl.sim.tracer
-        self.metrics = metrics
-        self.profiler = impl.sim.profiler
-        self.spans = spans
-        self.serving = getattr(impl, "serving", None)
-
-    @property
-    def platform(self):
-        """The tiled platform (``m3v``/``m3``/``m3x`` kinds)."""
-        return self.impl
-
-    @property
-    def machine(self):
-        """The Linux machine (``linux`` kind)."""
-        return self.impl
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.impl, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<System {self.kind} impl={type(self.impl).__name__}>"
-
-
-def _build_impl(config: SystemConfig):
+def _construct(config: SystemConfig):
     if config.kind == "linux":
         from repro.linuxsim import LinuxMachine
 
@@ -78,26 +39,17 @@ def _build_impl(config: SystemConfig):
     from repro.core.platform import M3Platform, M3vPlatform, M3xPlatform
 
     cls = {"m3v": M3vPlatform, "m3": M3Platform, "m3x": M3xPlatform}[config.kind]
-    return cls(config.platform_config())
+    return cls(config)
 
 
 def build_system(config: Optional[SystemConfig] = None,
-                 **overrides) -> System:
+                 **overrides) -> Any:
     """Build the system described by ``config`` (keyword overrides
-    patch it first) and attach its layers.  See the module docstring
-    for the precedence rules."""
+    patch it first), attach its layers and return the platform or
+    machine.  See the module docstring for the precedence rules."""
     config = config if config is not None else SystemConfig()
     if overrides:
         config = replace(config, **overrides)
-
-    # Environment layer: REPRO_SCHED defaults the TileMux policy when
-    # the config leaves it unset (explicit config always wins; see
-    # repro.api.env_overrides).
-    env = env_overrides()
-    if env.sched and config.sched is None and config.kind in ("m3v", "m3"):
-        from repro.mux.sched import SchedSpec
-
-        config = replace(config, sched=SchedSpec(policy=env.sched))
 
     # Layers: reuse the globally installed tracer; otherwise create one
     # from the config's specs and install it only for the construction
@@ -127,26 +79,28 @@ def build_system(config: Optional[SystemConfig] = None,
     try:
         if own_tracer:
             engine.set_default_tracer(tracer)
-        impl = _build_impl(config)
+        system = _construct(config)
     finally:
         if own_tracer:
             engine.set_default_tracer(None)
 
+    system.config = config
+    system.metrics, system.spans, system.serving = metrics, spans, None
     if config.kind != "linux":
         if config.recovery is not None:
             from repro.mux.recovery import enable_recovery
 
-            enable_recovery(impl, config.recovery)
+            enable_recovery(system, config.recovery)
         if config.faults is not None and config.faults.rate > 0:
-            from repro.faults import HwFaultPlan
+            from repro.faults import FaultPlan
 
-            HwFaultPlan.lossy(config.faults.seed, config.faults.rate,
-                              deadline_ps=config.faults.deadline_ps
-                              ).apply(impl)
+            FaultPlan.lossy(config.faults.seed, config.faults.rate,
+                            deadline_ps=config.faults.deadline_ps
+                            ).apply(system)
         if config.serving is not None:
             from repro.services.serving import ServingStack
 
-            impl.serving = ServingStack(
-                config.serving, plat=impl,
-                controller=getattr(impl, "controller", None))
-    return System(config, impl, tracer=tracer, metrics=metrics, spans=spans)
+            system.serving = ServingStack(
+                config.serving, plat=system,
+                controller=getattr(system, "controller", None))
+    return system

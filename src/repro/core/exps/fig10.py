@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.lsm import LsmStore
-from repro.core.exps.common import fpga_system, linux_system, rendezvous
+from repro.api import build_system
+from repro.core.exps.common import rendezvous
 from repro.posix.vfs import LinuxVfs, M3vVfs
 from repro.services.boot import (
     boot_m3fs,
@@ -62,7 +63,7 @@ class Fig10Params:
 
 
 def _run_m3v(mix: str, shared: bool, p: Fig10Params) -> Dict[str, float]:
-    plat = fpga_system()
+    plat = build_system()
     if shared:
         db_tile = fs_tile = net_tile = pager_tile = 1
     else:
@@ -119,7 +120,7 @@ def _run_m3v(mix: str, shared: bool, p: Fig10Params) -> Dict[str, float]:
 
 
 def _run_linux(mix: str, p: Fig10Params) -> Dict[str, float]:
-    machine = linux_system(with_net=True)
+    machine = build_system(kind="linux", with_net=True)
     out: Dict = {}
 
     def prog(api):

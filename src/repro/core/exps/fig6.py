@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.exps.common import fpga_system, linux_system, rendezvous
+from repro.api import build_system
+from repro.core.exps.common import rendezvous
 from repro.tiles.costs import BOOM
 
 
@@ -22,7 +23,7 @@ class Fig6Params:
 
 def _measure_m3v_rpc(local: bool, p: Fig6Params) -> float:
     """Mean no-op RPC latency in ps."""
-    plat = fpga_system()
+    plat = build_system()
     env: Dict = {}
     out: Dict = {}
 
@@ -55,7 +56,7 @@ def _measure_m3v_rpc(local: bool, p: Fig6Params) -> float:
 
 
 def _measure_linux_syscall(p: Fig6Params) -> float:
-    machine = linux_system()
+    machine = build_system(kind="linux")
     out: Dict = {}
 
     def prog(api):
@@ -73,7 +74,7 @@ def _measure_linux_syscall(p: Fig6Params) -> float:
 
 def _measure_linux_yield2(p: Fig6Params) -> float:
     """Two context switches: ping yields to pong, pong yields back."""
-    machine = linux_system()
+    machine = build_system(kind="linux")
     out: Dict = {}
     n = p.iterations
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.exps.common import fpga_system, linux_system, rendezvous
+from repro.api import build_system
+from repro.core.exps.common import rendezvous
 from repro.linuxsim.machine import O_CREAT as L_O_CREAT
 from repro.linuxsim.machine import O_TRUNC as L_O_TRUNC
 from repro.linuxsim.machine import O_WRONLY as L_O_WRONLY
@@ -32,7 +33,7 @@ def _mib_per_s(total_bytes: int, ps: int) -> float:
 
 
 def _run_m3v(op: str, shared: bool, p: Fig7Params) -> float:
-    plat = fpga_system()
+    plat = build_system()
     fs_tile = 1
     bench_tile = 1 if shared else 2
     pager_tile = 1 if shared else 3
@@ -85,7 +86,7 @@ def _run_m3v(op: str, shared: bool, p: Fig7Params) -> float:
 
 
 def _run_linux(op: str, p: Fig7Params) -> float:
-    machine = linux_system()
+    machine = build_system(kind="linux")
     out: Dict = {}
 
     def prog(api):

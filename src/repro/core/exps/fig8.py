@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.exps.common import fpga_system, linux_system, rendezvous
+from repro.api import build_system
+from repro.core.exps.common import rendezvous
 from repro.services.boot import boot_net, boot_pager, connect_net
 from repro.services.net import NetClient
 
@@ -26,7 +27,7 @@ class Fig8Params:
 
 def _run_m3v(shared: bool, p: Fig8Params) -> float:
     """Mean RTT in microseconds."""
-    plat = fpga_system()
+    plat = build_system()
     nic_tile = 1                       # net is pinned to the NIC tile
     bench_tile = 1 if shared else 2
     pager_tile = 1 if shared else 3
@@ -59,7 +60,7 @@ def _run_m3v(shared: bool, p: Fig8Params) -> float:
 
 
 def _run_linux(p: Fig8Params) -> float:
-    machine = linux_system(with_net=True)
+    machine = build_system(kind="linux", with_net=True)
     machine.remote.echo_ports.add(ECHO_PORT)
     out: Dict = {}
 

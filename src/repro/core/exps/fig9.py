@@ -23,7 +23,6 @@ from typing import Dict, List
 from repro.api import SystemConfig, build_system
 from repro.apps.traceplayer import TracePlayer
 from repro.core.exps.common import rendezvous
-from repro.core.platform import PlatformConfig
 from repro.posix.vfs import M3vVfs
 from repro.services.boot import boot_m3fs, connect_fs
 from repro.services.m3fs import FsClient
@@ -69,11 +68,6 @@ def extended_params(quick: bool = True,
         return Fig9Params(tile_counts=counts, runs=1, find_dirs=2,
                           find_files=3, sqlite_txns=4)
     return Fig9Params(tile_counts=counts)
-
-
-def gem5_config(n_tiles: int) -> PlatformConfig:
-    return PlatformConfig(n_proc_tiles=n_tiles, proc_core=X86_GEM5,
-                          controller_core=X86_GEM5, n_mem_tiles=2)
 
 
 def _mem_shape(n_tiles: int):

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.api import FaultSpec, build_system
-from repro.core.exps.common import fpga_sysconfig, rendezvous
+from repro.api import FaultSpec, SystemConfig, build_system
+from repro.core.exps.common import rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
 from repro.sim.trace import Tracer
@@ -57,7 +57,7 @@ def _percentile(sorted_vals: List[int], q: float) -> float:
 
 
 def _run_workload(system: str, rate: float, p: FigRParams) -> Dict[str, float]:
-    config = fpga_sysconfig(system, n_proc_tiles=2)
+    config = SystemConfig(kind=system, n_proc_tiles=2)
     if rate > 0:
         config = config.with_(
             recovery=RecoveryPolicy(max_retries=p.max_retries,

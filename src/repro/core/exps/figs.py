@@ -63,10 +63,16 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List
 
-from repro.api import (FaultSpec, PlacementSpec, SchedSpec, ServingSpec,
-                       build_system)
+from repro.api import (
+    FaultSpec,
+    PlacementSpec,
+    SchedSpec,
+    ServingSpec,
+    SystemConfig,
+    build_system,
+)
 from repro.apps.lsm import LsmStore
-from repro.core.exps.common import fpga_sysconfig, rendezvous
+from repro.core.exps.common import rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
 from repro.mux.mpmc import VirtualLinkQueue
@@ -133,7 +139,8 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
     S, G = pt.kv_shards, pt.gateways
     spec = ServingSpec(protection=pt.protection, queue_slots=pt.queue_slots,
                        quota_mult=pt.quota_mult, backend=pt.backend)
-    config = fpga_sysconfig(pt.system, n_proc_tiles=1 + S + G, serving=spec)
+    config = SystemConfig(kind=pt.system, n_proc_tiles=1 + S + G,
+                          serving=spec)
     if pt.system == "m3v":
         if pt.sched != "rr":
             config = config.with_(sched=SchedSpec(policy=pt.sched,

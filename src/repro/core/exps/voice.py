@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.api import build_system
 from repro.apps.compress import make_audio
 from repro.apps.voice import (
     WINDOW_SAMPLES,
     compressor_program,
     scanner_program,
 )
-from repro.core.exps.common import fpga_system
 from repro.dtu.endpoints import Perm
 from repro.kernel.caps import CapKind, MGateObj
 from repro.services.boot import boot_net, boot_pager, connect_net
@@ -33,7 +33,7 @@ class VoiceParams:
 
 
 def run_voice_once(shared: bool, p: VoiceParams) -> Dict[str, float]:
-    plat = fpga_system(core_overrides={0: ROCKET})
+    plat = build_system(core_overrides={0: ROCKET})
     if shared:
         comp_tile = net_tile = pager_tile = 1
     else:

@@ -1,21 +1,28 @@
-"""Hardware-fault model: injectors that genuinely break delivery.
+"""Seeded fault injection: one :class:`FaultPlan`, two kinds of injector.
 
-Unlike :mod:`repro.testing.faults` (which only perturbs *timing*), the
-injectors here violate the fault-free NoC contract — packets vanish or
-arrive corrupted, endpoints glitch, tiles stop draining their inbox —
-and a platform survives them only if the recovery layer
-(:mod:`repro.mux.recovery`) is armed.  ``HwFaultPlan.apply`` therefore
-refuses to install a lossy injector on a platform without a
+*Timing* injectors (:class:`NocJitter`, :class:`TlbPressure`,
+:class:`ForcedPreemption`) perturb timing and resources, never protocol
+correctness: they drive the system through adversarial interleavings
+(raced deposits, queue overruns, TLB thrash, preemption at awkward
+points) while the invariant checkers (:mod:`repro.testing.invariants`)
+watch the execution.
+
+*Hardware-fault* injectors (:class:`LossyLinks`,
+:class:`TransientEpFaults`, :class:`StuckTile`) violate the fault-free
+NoC contract — packets vanish or arrive corrupted, endpoints glitch,
+tiles stop draining their inbox — and a platform survives them only if
+the recovery layer (:mod:`repro.mux.recovery`) is armed.  They
+therefore refuse to install on a platform without a
 :class:`~repro.mux.recovery.RecoveryPolicy`.
 
-Scoping: faults only hit the *user-message* plane — MSG packets carrying
-a recovery sequence number and the tagged acknowledgements answering
-them, between processing tiles.  Packets to or from the controller and
-memory tiles are never touched: they model a protected control network
-(a dedicated virtual channel with link-level retransmission in real
-interconnects).  Dropping those would not test recovery, it would leak
-kernel credits and wedge DMA — failure modes the paper's systems never
-claim to survive.
+Scoping: hardware faults only hit the *user-message* plane — MSG
+packets carrying a recovery sequence number and the tagged
+acknowledgements answering them, between processing tiles.  Packets to
+or from the controller and memory tiles are never touched: they model a
+protected control network (a dedicated virtual channel with link-level
+retransmission in real interconnects).  Dropping those would not test
+recovery, it would leak kernel credits and wedge DMA — failure modes the
+paper's systems never claim to survive.
 
 All randomness flows through one ``random.Random`` held by the plan, and
 every injector bounds its activity by a deadline in simulated time, so a
@@ -26,7 +33,8 @@ Usage::
 
     plat = build_system(SystemConfig(kind="m3v", ...))
     enable_recovery(plat)
-    plan = HwFaultPlan(seed=7, deadline_ps=2_000_000_000)
+    plan = FaultPlan(seed=7, deadline_ps=2_000_000_000)
+    plan.add(NocJitter(prob=0.4))
     plan.add(LossyLinks(drop=0.05, corrupt=0.02))
     plan.add(TransientEpFaults())
     plan.add(StuckTile())
@@ -39,14 +47,17 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from repro.dtu import DtuError, DtuFault
+from repro.dtu import DtuError, DtuFault, VDtu
 from repro.dtu.endpoints import EndpointKind
 from repro.kernel.controller import EP_USER_BASE
 from repro.mux.recovery import RecoveryPolicy, enable_recovery
 from repro.noc.packet import Packet, PacketKind
 
 __all__ = [
-    "HwFaultPlan",
+    "FaultPlan",
+    "NocJitter",
+    "TlbPressure",
+    "ForcedPreemption",
     "LossyLinks",
     "TransientEpFaults",
     "StuckTile",
@@ -100,7 +111,7 @@ class LossyLinks:
             return pkt.tag is not None
         return False
 
-    def apply(self, plan: "HwFaultPlan", platform) -> None:
+    def apply(self, plan: "FaultPlan", platform) -> None:
         _require_recovery(platform, "LossyLinks")
         sim, fabric, stats = platform.sim, platform.fabric, platform.stats
         rng, deadline = plan.rng, plan.deadline_ps
@@ -156,7 +167,7 @@ class TransientEpFaults:
                 return windows
             windows.append((t, t + self.window_ps))
 
-    def apply(self, plan: "HwFaultPlan", platform) -> None:
+    def apply(self, plan: "FaultPlan", platform) -> None:
         _require_recovery(platform, "TransientEpFaults")
         sim, stats = platform.sim, platform.stats
         for tile in platform.proc_tiles():
@@ -195,7 +206,7 @@ class StuckTile:
         self.mean_gap_ps = mean_gap_ps
         self.stall_ps = stall_ps
 
-    def apply(self, plan: "HwFaultPlan", platform) -> None:
+    def apply(self, plan: "FaultPlan", platform) -> None:
         _require_recovery(platform, "StuckTile")
         sim, stats = platform.sim, platform.stats
         rng, deadline = plan.rng, plan.deadline_ps
@@ -216,8 +227,101 @@ class StuckTile:
         sim.process(episodes(), name="stuck-tile-faults")
 
 
-class HwFaultPlan:
-    """A seeded collection of hardware-fault injectors for one platform."""
+class NocJitter:
+    """Randomly delays packet injection, causing delivery reorder.
+
+    Packets injected concurrently on disjoint links may overtake each
+    other when one is held back — the jitter exercises the raced
+    deposit paths (core requests vs. activity switches) and the
+    backpressure machinery.
+    """
+
+    def __init__(self, prob: float = 0.3, max_delay_ps: int = 20_000_000):
+        self.prob = prob
+        self.max_delay_ps = max_delay_ps
+
+    def apply(self, plan: "FaultPlan", platform) -> None:
+        sim, fabric = platform.sim, platform.fabric
+        rng, deadline = plan.rng, plan.deadline_ps
+        orig_send = fabric.send
+
+        def jittered_send(packet):
+            if sim.now < deadline and rng.random() < self.prob:
+                delay = rng.randrange(1, self.max_delay_ps)
+
+                def _held():
+                    yield delay
+                    orig_send(packet)
+
+                return sim.process(_held(), name=f"jitter-pkt{packet.pid}")
+            return orig_send(packet)
+
+        fabric.send = jittered_send
+
+
+class TlbPressure:
+    """Shrinks the vDTU TLBs and randomly sheds entries.
+
+    Forces frequent translate TMCalls and TLB refills, interleaving
+    TileMux work with message delivery.  No-op on M3x tiles (their DTU
+    has no TLB).
+    """
+
+    def __init__(self, capacity: int = 2, shed_gap_ps: int = 500_000_000):
+        self.capacity = capacity
+        self.shed_gap_ps = shed_gap_ps
+
+    def apply(self, plan: "FaultPlan", platform) -> None:
+        sim, rng, deadline = platform.sim, plan.rng, plan.deadline_ps
+        for _tid, tile in sorted(platform.tiles.items()):
+            if not isinstance(tile.dtu, VDtu):
+                continue
+            tlb = tile.dtu.tlb
+            tlb.capacity = max(1, self.capacity)
+            while len(tlb) > tlb.capacity:
+                tlb._evict()
+            sim.process(self._shed(sim, rng, deadline, tlb),
+                        name=f"tlb-pressure-{tile.dtu.tile}")
+
+    def _shed(self, sim, rng, deadline, tlb):
+        while sim.now < deadline:
+            yield rng.randrange(1, self.shed_gap_ps)
+            entries = [e for e in tlb._entries.values() if not e.pinned]
+            if entries:
+                victim = entries[rng.randrange(len(entries))]
+                tlb.invalidate(victim.act, victim.virt_page)
+
+
+class ForcedPreemption:
+    """Expires the running activity's time slice at random points.
+
+    Preemption then happens at the next interrupt window, interleaving
+    activity switches with whatever the workload was doing.  No-op on
+    M3x tiles (RCTMux has no timer; the controller drives switches).
+    """
+
+    def __init__(self, mean_gap_ps: int = 300_000_000):
+        self.mean_gap_ps = mean_gap_ps
+
+    def apply(self, plan: "FaultPlan", platform) -> None:
+        sim, rng, deadline = platform.sim, plan.rng, plan.deadline_ps
+        for _tid, tile in sorted(platform.tiles.items()):
+            mux = tile.mux
+            if mux is None or not hasattr(mux, "timeslice_ps"):
+                continue
+            sim.process(self._expire(sim, rng, deadline, mux),
+                        name=f"forced-preempt-{mux.tile_id}")
+
+    def _expire(self, sim, rng, deadline, mux):
+        while sim.now < deadline:
+            yield rng.randrange(1, 2 * self.mean_gap_ps)
+            ctx = mux.current
+            if ctx is not None and ctx.slice_end > sim.now:
+                ctx.slice_end = sim.now
+
+
+class FaultPlan:
+    """A seeded collection of fault injectors applied to one platform."""
 
     def __init__(self, seed, deadline_ps: int = DEFAULT_DEADLINE_PS,
                  injectors: Optional[List] = None):
@@ -226,18 +330,25 @@ class HwFaultPlan:
         self.deadline_ps = deadline_ps
         self.injectors: List = list(injectors) if injectors else []
 
-    def add(self, injector) -> "HwFaultPlan":
+    def add(self, injector) -> "FaultPlan":
         self.injectors.append(injector)
         return self
 
-    def apply(self, platform) -> "HwFaultPlan":
+    def apply(self, platform) -> "FaultPlan":
         for injector in self.injectors:
             injector.apply(self, platform)
         return self
 
     @classmethod
+    def standard(cls, seed,
+                 deadline_ps: int = DEFAULT_DEADLINE_PS) -> "FaultPlan":
+        """The timing stress mix used by the system-level tests."""
+        return cls(seed, deadline_ps=deadline_ps).add(
+            NocJitter()).add(ForcedPreemption())
+
+    @classmethod
     def lossy(cls, seed, rate: float,
-              deadline_ps: int = DEFAULT_DEADLINE_PS) -> "HwFaultPlan":
+              deadline_ps: int = DEFAULT_DEADLINE_PS) -> "FaultPlan":
         """The figR mix: loss + corruption scaled by one ``rate`` knob."""
         plan = cls(seed, deadline_ps=deadline_ps)
         if rate > 0:

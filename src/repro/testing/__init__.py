@@ -1,11 +1,10 @@
-"""Test-support layer: invariant checkers, fault injection, golden traces.
+"""Test-support layer: invariant checkers, golden traces, chaos campaigns.
 
 Built on the opt-in tracer (:mod:`repro.sim.trace`):
 
 * :mod:`repro.testing.invariants` — online checkers that subscribe to a
-  tracer and assert system-wide properties over whole executions;
-* :mod:`repro.testing.faults` — seeded fault injectors (NoC jitter, TLB
-  pressure, forced preemption) to stress those properties;
+  tracer and assert system-wide properties over whole executions (the
+  seeded injectors of :mod:`repro.faults` stress them);
 * :mod:`repro.testing.golden` — canonical trace serialization and
   golden-file conformance for the fig6/fig8 microbenchmarks;
 * :mod:`repro.testing.chaos` — seeded campaigns composing fault
@@ -22,12 +21,6 @@ from repro.testing.invariants import (
     InvariantSuite,
     InvariantViolation,
     MessageConservation,
-)
-from repro.testing.faults import (
-    FaultPlan,
-    ForcedPreemption,
-    NocJitter,
-    TlbPressure,
 )
 from repro.testing.chaos import (
     CampaignResult,
@@ -48,10 +41,6 @@ __all__ = [
     "InvariantSuite",
     "InvariantViolation",
     "MessageConservation",
-    "FaultPlan",
-    "ForcedPreemption",
-    "NocJitter",
-    "TlbPressure",
     "CampaignResult",
     "ChaosCampaign",
     "Floor",

@@ -10,7 +10,7 @@ from repro.tiles.accelerator import EP_IN, StreamAccelerator
 
 def platform_with_accels(n_accels, logics):
     plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
-                                     n_mem_tiles=1)).platform
+                                     n_mem_tiles=1))
     base = max(plat.tiles) + 1
     accels = []
     for i in range(n_accels):

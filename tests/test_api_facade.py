@@ -11,13 +11,13 @@ from repro.api import (
     TraceSpec,
     build_system,
 )
-from repro.core.platform import (
-    M3Platform,
-    M3vPlatform,
-    M3xPlatform,
-    PlatformConfig,
-)
+from repro.core.platform import M3Platform, M3vPlatform, M3xPlatform
+from repro.dtu import Dtu, VDtu
+from repro.kernel.controller import Controller
+from repro.mux.m3x import M3xController, M3xMux
+from repro.mux.tilemux import TileMux
 from repro.sim import engine
+from repro.tiles import BOOM, ROCKET
 
 
 def _small(kind, **layers):
@@ -26,33 +26,54 @@ def _small(kind, **layers):
 
 # -- building -----------------------------------------------------------------
 
+# per kind: processing-tile DTU, processing-tile multiplexer, controller
+_TILE_PIECES = {"m3v": (VDtu, TileMux, Controller),
+                "m3": (VDtu, TileMux, Controller),
+                "m3x": (Dtu, M3xMux, M3xController)}
+
+
 @pytest.mark.parametrize("kind,cls", [("m3v", M3vPlatform),
                                       ("m3", M3Platform),
                                       ("m3x", M3xPlatform)])
 def test_build_system_tiled_kinds(kind, cls):
-    system = build_system(_small(kind))
-    assert type(system.impl) is cls
-    assert system.kind == kind
-    assert system.platform is system.impl
-    assert system.sim is system.impl.sim
-    # attribute fall-through: a System drops in wherever a plat was used
-    assert system.controller is system.impl.controller
-    assert system.now_us == system.impl.now_us
+    dtu_cls, mux_cls, ctrl_cls = _TILE_PIECES[kind]
+    config = _small(kind)
+    plat = build_system(config)
+    assert type(plat) is cls
+    assert plat.config is config
+    for tile in plat.proc_tiles():
+        assert type(tile.dtu) is dtu_cls
+        assert type(tile.mux) is mux_cls
+    assert type(plat.controller) is ctrl_cls
+    assert plat.rebalancer is None
+    assert plat.metrics is None and plat.spans is None
+    assert plat.serving is None
 
 
 def test_build_system_linux_kind():
     from repro.linuxsim import LinuxMachine
 
-    system = build_system(SystemConfig(kind="linux", with_net=True))
-    assert type(system.impl) is LinuxMachine
-    assert system.machine is system.impl
-    assert system.sim is system.impl.sim
+    config = SystemConfig(kind="linux", with_net=True)
+    machine = build_system(config)
+    assert type(machine) is LinuxMachine
+    assert machine.config is config
 
 
 def test_keyword_overrides_patch_the_config():
-    system = build_system(_small("m3v"), n_proc_tiles=3)
-    assert system.config.n_proc_tiles == 3
-    assert len(system.platform.proc_tile_ids) == 3
+    plat = build_system(_small("m3v"), n_proc_tiles=3)
+    assert plat.config.n_proc_tiles == 3
+    assert len(plat.proc_tile_ids) == 3
+
+
+def test_default_config_is_the_fpga_prototype():
+    """Figure 4's FPGA shape; fig6/7/8/10 and voice build with it."""
+    config = SystemConfig()
+    assert config.kind == "m3v"
+    assert config.n_proc_tiles == 8
+    assert config.proc_core is BOOM
+    assert config.controller_core is ROCKET
+    assert config.n_mem_tiles == 2
+    assert config.dram_bytes == 64 * 1024 * 1024
 
 
 # -- the config object --------------------------------------------------------
@@ -76,11 +97,6 @@ def test_with_returns_a_derived_config():
     assert (base.kind, base.n_proc_tiles) == ("m3v", 2)
 
 
-def test_platform_config_round_trips_through_from_platform():
-    pc = PlatformConfig(n_proc_tiles=3, n_mem_tiles=1)
-    assert SystemConfig.from_platform("m3x", pc).platform_config() == pc
-
-
 # -- layer precedence and cleanup ---------------------------------------------
 
 def test_installed_tracer_wins_over_config_spec():
@@ -88,7 +104,6 @@ def test_installed_tracer_wins_over_config_spec():
 
     with capture() as tracer:
         system = build_system(_small("m3v", trace=TraceSpec()))
-        assert system.tracer is tracer
         assert system.sim.tracer is tracer
     assert engine._default_tracer is None
 
@@ -98,9 +113,9 @@ def test_config_layers_do_not_leak_into_engine_defaults():
                                  metrics=MetricsSpec()))
     assert engine._default_tracer is None
     # ...but the built simulator latched the tracer, which feeds metrics
-    assert system.sim.tracer is system.tracer
-    assert system.tracer is not None and system.metrics is not None
-    assert system.metrics.on_event in system.tracer._subscribers
+    tracer = system.sim.tracer
+    assert tracer is not None and system.metrics is not None
+    assert system.metrics.on_event in tracer._subscribers
 
 
 def test_metrics_spec_with_spans_attaches_a_collector():
@@ -131,51 +146,6 @@ def test_legacy_builders_removed():
         assert not hasattr(repro.core, name)
         with pytest.raises(AttributeError):
             getattr(repro, name)
-
-
-def _rpc_digest(build):
-    """Trace digest of one remote ping-pong on a freshly built system."""
-    from repro.core.exps.common import rendezvous
-    from repro.sim.trace import capture
-    from repro.testing.golden import digest
-
-    env = {}
-    result = {}
-
-    def server(api):
-        yield from rendezvous(api, env, "s_rep")
-        msg = yield from api.recv(env["s_rep"])
-        yield from api.reply(env["s_rep"], msg, data=msg.data * 2, size=16)
-
-    def client(api):
-        yield from rendezvous(api, env, "c_sep")
-        value = yield from api.call(env["c_sep"], env["c_rep"],
-                                    data=21, size=16)
-        result["value"] = value
-
-    with capture() as tracer:
-        plat = build()
-        ctrl = plat.controller
-        s = plat.run_proc(ctrl.spawn("server", 1, server))
-        c = plat.run_proc(ctrl.spawn("client", 0, client))
-        sep, rep, reply_ep = plat.run_proc(ctrl.wire_channel(c, s))
-        env.update(s_rep=rep, c_sep=sep, c_rep=reply_ep)
-        plat.sim.run_until_event(c.exit_event, limit=10**13)
-    assert result["value"] == 42
-    return digest(tracer)
-
-
-@pytest.mark.parametrize("kind", ["m3v", "m3x"])
-def test_from_platform_builds_the_same_system_as_direct_config(kind):
-    def via_from_platform():
-        pc = PlatformConfig(n_proc_tiles=4, n_mem_tiles=1)
-        return build_system(SystemConfig.from_platform(kind, pc))
-
-    def via_facade():
-        return build_system(SystemConfig(kind=kind, n_proc_tiles=4,
-                                         n_mem_tiles=1))
-
-    assert _rpc_digest(via_from_platform) == _rpc_digest(via_facade)
 
 
 # -- metrics must not perturb simulation --------------------------------------

@@ -62,11 +62,3 @@ def test_version_matches_package():
     assert result.returncode == 0
     from repro import __version__
     assert result.stdout.strip() == f"repro {__version__}"
-
-
-def test_lazy_package_exports_still_resolve():
-    """PEP 562 re-exports keep the legacy surface working."""
-    import repro
-    assert repro.PlatformConfig is not None
-    assert callable(repro.M3vPlatform)
-    assert "PlatformConfig" in dir(repro)

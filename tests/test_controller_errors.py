@@ -11,7 +11,7 @@ from repro.mux.api import RpcError
 
 def platform():
     return build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
-                                     n_mem_tiles=1)).platform
+                                     n_mem_tiles=1))
 
 
 def run_act(plat, prog, tile=0, **kw):

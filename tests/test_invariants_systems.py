@@ -11,8 +11,8 @@ import pytest
 from repro.api import SystemConfig, build_system
 from repro.dtu.dtu import Dtu
 from repro.dtu.vdtu import VDtu
+from repro.faults import FaultPlan, NocJitter
 from repro.sim.trace import capture
-from repro.testing.faults import FaultPlan, NocJitter
 from repro.testing.invariants import (
     CurActConsistency,
     EndpointOwnership,
@@ -63,7 +63,7 @@ def test_m3v_invariants_under_faults(seed):
     with capture(record=False) as tracer:
         suite = InvariantSuite().attach(tracer)
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
-                                          n_mem_tiles=1)).platform
+                                          n_mem_tiles=1))
         FaultPlan.standard(seed, deadline_ps=3_000_000_000).apply(plat)
         assert _ping_pong(plat, server_tile=2, client_tile=2, rounds=5) == 5
         assert _ping_pong(plat, server_tile=1, client_tile=0, rounds=3) == 3
@@ -82,7 +82,7 @@ def test_m3x_invariants_under_faults(seed):
     with capture(record=False) as tracer:
         suite = InvariantSuite().attach(tracer)
         plat = build_system(SystemConfig(kind="m3x", n_proc_tiles=4,
-                                          n_mem_tiles=1)).platform
+                                          n_mem_tiles=1))
         FaultPlan(seed, deadline_ps=3_000_000_000).add(NocJitter()).apply(plat)
         assert _ping_pong(plat, server_tile=2, client_tile=2, rounds=3) == 3
         assert _ping_pong(plat, server_tile=1, client_tile=0, rounds=3) == 3
@@ -103,7 +103,7 @@ def _paced_remote_stream(seed, n_msgs=10):
         suite = InvariantSuite().attach(tracer)
         plat = build_system(SystemConfig(kind="m3v", timeslice_us=50.0,
                                           n_proc_tiles=4,
-                                          n_mem_tiles=1)).platform
+                                          n_mem_tiles=1))
         FaultPlan.standard(seed, deadline_ps=20_000_000_000).apply(plat)
         env, got = {}, []
 
@@ -161,7 +161,7 @@ def test_queue_overrun_backpressure():
                           dtu_overrides={"core_req_queue_depth": 1})
     with capture(record=False) as tracer:
         suite = InvariantSuite().attach(tracer)
-        plat = build_system(config, n_proc_tiles=4, n_mem_tiles=1).platform
+        plat = build_system(config, n_proc_tiles=4, n_mem_tiles=1)
         FaultPlan(5, deadline_ps=4_000_000_000).add(NocJitter()).apply(plat)
         env, got = {}, {"a": 0, "b": 0}
 
@@ -221,7 +221,7 @@ def test_mutation_ownership_bypass_is_caught(monkeypatch):
     with capture(record=False) as tracer:
         InvariantSuite(checkers=(EndpointOwnership,)).attach(tracer)
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
-                                          n_mem_tiles=1)).platform
+                                          n_mem_tiles=1))
         env = {}
 
         def server(api):
@@ -248,7 +248,7 @@ def test_unmutated_foreign_fetch_is_refused():
     from repro.dtu import DtuError, DtuFault
 
     plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
-                                          n_mem_tiles=1)).platform
+                                          n_mem_tiles=1))
     env, seen = {}, {}
 
     def intruder(api):
@@ -291,6 +291,6 @@ def test_mutation_forgotten_cur_act_decrement_is_caught(monkeypatch):
     with capture(record=False) as tracer:
         InvariantSuite(checkers=(CurActConsistency,)).attach(tracer)
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
-                                          n_mem_tiles=1)).platform
+                                          n_mem_tiles=1))
         with pytest.raises(InvariantViolation, match="cur-act"):
             _ping_pong(plat, server_tile=2, client_tile=2, rounds=3)

@@ -8,7 +8,7 @@ from repro.kernel.controller import SyscallError
 
 def platform():
     return build_system(SystemConfig(kind="m3", n_proc_tiles=4,
-                                     n_mem_tiles=1)).platform
+                                     n_mem_tiles=1))
 
 
 def test_one_activity_per_tile_enforced():

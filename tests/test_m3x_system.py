@@ -8,7 +8,7 @@ from repro.api import SystemConfig, build_system
 def m3x_platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
-    return build_system(SystemConfig(kind="m3x"), **kw).platform
+    return build_system(SystemConfig(kind="m3x"), **kw)
 
 
 def rendezvous(api, env, *keys):
@@ -87,7 +87,7 @@ def test_m3x_tile_local_rpc_takes_slow_path():
 
 def measure_local_rpc(kind, n=10, **kw):
     plat = build_system(SystemConfig(kind=kind, n_proc_tiles=4,
-                                     n_mem_tiles=1), **kw).platform
+                                     n_mem_tiles=1), **kw)
     env, out = {}, {}
 
     def server(api):

@@ -6,7 +6,7 @@ from repro.mux.mediated import MediatedActivityApi
 
 def measure_rpc(mediated: bool) -> float:
     plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
-                                     n_mem_tiles=1)).platform
+                                     n_mem_tiles=1))
     if mediated:
         for tid in plat.proc_tile_ids:
             plat.mux(tid).api_class = MediatedActivityApi

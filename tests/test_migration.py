@@ -39,7 +39,7 @@ def _build(**cfg):
     cfg.setdefault("kind", "m3v")
     cfg.setdefault("n_proc_tiles", 4)
     cfg.setdefault("n_mem_tiles", 1)
-    return build_system(SystemConfig(**cfg)).platform
+    return build_system(SystemConfig(**cfg))
 
 
 # -- protocol correctness -----------------------------------------------------
@@ -326,7 +326,7 @@ with capture() as tracer:
     plat = build_system(SystemConfig(
         kind="m3v", n_proc_tiles=4, n_mem_tiles=1,
         placement=PlacementSpec(interval_us=300.0, hot_depth=2, spread=2,
-                                cooldown_us=900.0))).platform
+                                cooldown_us=900.0)))
     ctrl = plat.controller
     env, got = {}, []
 
@@ -374,8 +374,8 @@ for name in ("ctrl/migrations", "ctrl/migrate_refused", "ctrl/retargets",
 """
 
 
-def _run(snippet: str, **env_overrides) -> str:
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **env_overrides)
+def _run(snippet: str, **env_vars) -> str:
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **env_vars)
     out = subprocess.run([sys.executable, "-c", snippet],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr

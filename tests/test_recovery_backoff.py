@@ -35,8 +35,8 @@ print(sorted(res.items()))
 """
 
 
-def _run(snippet: str, **env_overrides) -> str:
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **env_overrides)
+def _run(snippet: str, **env_vars) -> str:
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **env_vars)
     out = subprocess.run([sys.executable, "-c", snippet],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr

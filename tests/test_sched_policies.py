@@ -4,9 +4,8 @@ Three layers:
 
 * unit behaviour of the four disciplines (``rr``/``edf``/``lottery``/
   ``autotune``) against the deque surface TileMux consumes;
-* config plumbing — ``SchedSpec`` on ``SystemConfig``, the
-  ``REPRO_SCHED`` environment default, and explicit-config-wins
-  precedence;
+* config plumbing — ``SchedSpec`` on ``SystemConfig`` reaches every
+  TileMux and is rejected on kinds without one;
 * equivalence — the default spec (and an explicit ``rr`` spec) leaves
   the trace of a real workload byte-identical to an unconfigured build,
   which is what keeps every golden digest valid.
@@ -154,7 +153,7 @@ def test_sched_spec_rejected_on_non_tilemux_kinds():
 
 
 def _mux_policies(cfg=None, **overrides):
-    plat = build_system(cfg, **overrides).platform
+    plat = build_system(cfg, **overrides)
     return {tid: tile.mux.ready.name
             for tid, tile in sorted(plat.tiles.items())
             if getattr(tile, "mux", None) is not None}
@@ -166,33 +165,13 @@ def test_sched_spec_reaches_every_tilemux():
     assert set(pols.values()) == {"edf"} and len(pols) == 3
 
 
-def test_env_sched_defaults_unset_config(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", "lottery")
-    assert set(_mux_policies(SystemConfig(kind="m3v",
-                                          n_proc_tiles=2)).values()) \
-        == {"lottery"}
-
-
-def test_explicit_config_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", "lottery")
-    pols = _mux_policies(SystemConfig(kind="m3v", n_proc_tiles=2,
-                                      sched=SchedSpec(policy="autotune")))
-    assert set(pols.values()) == {"autotune"}
-
-
-def test_env_sched_ignored_for_non_tilemux_kind(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", "edf")
-    plat = build_system(SystemConfig(kind="m3x", n_proc_tiles=2)).platform
-    assert plat is not None  # must not raise the kind check
-
-
 # -- equivalence: default spec keeps the trace byte-identical -----------------
 
 def _pingpong_trace(sched):
     """A small two-tile RPC workload, traced."""
     with capture() as tracer:
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=3,
-                                         n_mem_tiles=1, sched=sched)).platform
+                                         n_mem_tiles=1, sched=sched))
         ctrl = plat.controller
         env = {}
 

@@ -186,7 +186,7 @@ def test_build_system_attaches_stack_only_when_asked():
 
 def _vlq_platform():
     return build_system(SystemConfig(kind="m3v", n_proc_tiles=3,
-                                     n_mem_tiles=1)).platform
+                                     n_mem_tiles=1))
 
 
 def test_vlq_fifo_and_shared_capacity():
@@ -455,7 +455,7 @@ def test_m3x_descheduled_sleeper_timer_wakes_via_controller():
     schedulable; the run must terminate and the new notify counters
     must tick."""
     plat = build_system(SystemConfig(kind="m3x", n_proc_tiles=2,
-                                     n_mem_tiles=1)).platform
+                                     n_mem_tiles=1))
     order = []
 
     def napper(api):

@@ -9,7 +9,7 @@ from repro.kernel.activity import ActState
 def platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
-    return build_system(SystemConfig(kind="m3v"), **kw).platform
+    return build_system(SystemConfig(kind="m3v"), **kw)
 
 
 def rendezvous(api, env, *keys):

@@ -14,8 +14,8 @@ Three layers:
 import pytest
 
 from repro.api import SystemConfig, build_system
+from repro.faults import FaultPlan
 from repro.sim.trace import capture
-from repro.testing.faults import FaultPlan
 from repro.testing.golden import (
     GOLDEN_WORKLOADS,
     canonical_events,
@@ -143,7 +143,7 @@ def _ping_pong(plat, server_tile, client_tile, rounds=4):
 def _faulted_local_ping_pong(seed):
     with capture() as tracer:
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
-                                        n_mem_tiles=1)).platform
+                                        n_mem_tiles=1))
         FaultPlan.standard(seed, deadline_ps=3_000_000_000).apply(plat)
         value = _ping_pong(plat, server_tile=2, client_tile=2, rounds=4)
         plat.sim.run()  # drain, so traces end at quiescence
@@ -166,7 +166,7 @@ def test_invariants_hold_under_fault_seeds(seed):
     with capture(record=False) as tracer:
         suite = InvariantSuite().attach(tracer)
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
-                                        n_mem_tiles=1)).platform
+                                        n_mem_tiles=1))
         FaultPlan.standard(seed, deadline_ps=3_000_000_000).apply(plat)
         assert _ping_pong(plat, server_tile=2, client_tile=2, rounds=4) == 4
         assert _ping_pong(plat, server_tile=1, client_tile=0, rounds=3) == 3
