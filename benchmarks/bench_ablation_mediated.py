@@ -9,7 +9,7 @@ design and measure the same no-op RPC as Figure 6.
 from conftest import paper_scale, print_table
 
 from repro.api import build_system
-from repro.core.exps.common import rendezvous
+from repro.mux.api import Board, rendezvous
 from repro.mux.mediated import MediatedActivityApi
 
 
@@ -18,7 +18,7 @@ def measure_remote_rpc(mediated: bool, iterations: int) -> float:
     if mediated:
         for tid in plat.proc_tile_ids:
             plat.mux(tid).api_class = MediatedActivityApi
-    env, out = {}, {}
+    env, out = Board(plat.sim), {}
 
     def server(api):
         yield from rendezvous(api, env, "s_rep")

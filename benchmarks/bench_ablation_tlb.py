@@ -11,16 +11,16 @@ from conftest import paper_scale, print_table
 
 from repro.api import build_system
 from repro.dtu.endpoints import Perm
+from repro.mux.api import Board, rendezvous
 
 
 def measure(tlb_entries: int, pages: int, rounds: int) -> float:
     """Mean us per 64-byte send cycling through ``pages`` buffers."""
     plat = build_system(dtu_overrides={"tlb_entries": tlb_entries})
-    env, out = {}, {}
+    env, out = Board(plat.sim), {}
 
     def server(api):
-        while "s_rep" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "s_rep")
         while True:
             msg = yield from api.recv(env["s_rep"])
             if msg.data == "stop":
@@ -28,8 +28,7 @@ def measure(tlb_entries: int, pages: int, rounds: int) -> float:
             yield from api.ack(env["s_rep"], msg)
 
     def client(api):
-        while "c_sep" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "c_sep")
         bufs = [api.alloc_buf(4096) for _ in range(pages)]
         # warm: map every page once
         for buf in bufs:

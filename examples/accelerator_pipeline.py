@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.api import SystemConfig, build_system
 from repro.dtu.dtu import Dtu
+from repro.mux.api import Board, rendezvous
 from repro.noc.topology import StarMeshTopology
 from repro.tiles.accelerator import EP_IN, StreamAccelerator
 
@@ -60,19 +61,17 @@ def main() -> None:
 
     # sink on a general-purpose tile collects the result
     results = []
-    env = {}
+    env = Board(sim)
 
     def sink(api):
-        while "sink_rep" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "sink_rep")
         for _ in range(4):
             msg = yield from api.recv(env["sink_rep"])
             results.append(np.frombuffer(msg.data, dtype=np.complex64))
             yield from api.ack(env["sink_rep"], msg)
 
     def decode(api):
-        while "decode_out" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "decode_out")
         rng = np.random.default_rng(3)
         for i in range(4):
             image_row = rng.normal(0, 1, CHUNK // 8).astype(np.complex64)

@@ -14,18 +14,18 @@ Run:  python examples/quickstart.py
 """
 
 from repro.api import SystemConfig, build_system
+from repro.mux.api import Board, rendezvous
 
 
 def main() -> None:
     plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
                                      n_mem_tiles=1))
-    env = {}
+    env = Board(plat.sim)  # a dict whose writes wake rendezvous waiters
     results = {}
 
     def server(api):
-        # wait until the channel below is wired
-        while "server_rgate" not in env:
-            yield api.sim.timeout(1_000_000)
+        # block until the channel below is wired
+        yield from rendezvous(api, env, "server_rgate")
         for _ in range(2):
             msg = yield from api.recv(env["server_rgate"])
             print(f"  [server] t={api.sim.now / 1e6:9.1f}us "
@@ -34,8 +34,7 @@ def main() -> None:
                                  data=msg.data.upper(), size=32)
 
     def client(api):
-        while "client_sgate" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "client_sgate")
         for word in ("hello", "world"):
             start = api.sim.now
             answer = yield from api.call(env["client_sgate"],

@@ -30,6 +30,7 @@ from repro.apps.compress import (
     rice_compress,
 )
 from repro.kernel.protocol import Syscall
+from repro.mux.api import rendezvous
 from repro.services.net import NetClient
 
 FRAME_SAMPLES = 2048           # scanner analysis frame
@@ -42,8 +43,7 @@ def scanner_program(env: Dict, audio: np.ndarray, triggers_expected: int):
     """Factory: the scanner activity."""
 
     def program(api) -> Generator:
-        while "scan_sep" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "scan_sep")
         sent = 0
         pos = 0
         write_off = 0
@@ -78,8 +78,7 @@ def compressor_program(env: Dict, audio: np.ndarray, triggers_expected: int):
     """Factory: the compressor activity (pager-managed heap)."""
 
     def program(api) -> Generator:
-        while "comp_rep" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "comp_rep")
         netc = NetClient(api, *env["net_eps"])
         sid = yield from netc.socket()
         yield from netc.bind(sid)

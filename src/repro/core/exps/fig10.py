@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.lsm import LsmStore
 from repro.api import build_system
-from repro.core.exps.common import rendezvous
+from repro.mux.api import Board, rendezvous
 from repro.posix.vfs import LinuxVfs, M3vVfs
 from repro.services.boot import (
     boot_m3fs,
@@ -72,7 +72,7 @@ def _run_m3v(mix: str, shared: bool, p: Fig10Params) -> Dict[str, float]:
     plat.run_proc(boot_pager(plat, tile=pager_tile))
     fs = plat.run_proc(boot_m3fs(plat, tile=fs_tile, blocks=8192))
     net = plat.run_proc(boot_net(plat, tile=net_tile))
-    env: Dict = {}
+    env = Board(plat.sim)
     out: Dict = {}
 
     def db(api):

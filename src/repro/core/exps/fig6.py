@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.api import build_system
-from repro.core.exps.common import rendezvous
+from repro.mux.api import Board, rendezvous
 from repro.tiles.costs import BOOM
 
 
@@ -24,7 +24,7 @@ class Fig6Params:
 def _measure_m3v_rpc(local: bool, p: Fig6Params) -> float:
     """Mean no-op RPC latency in ps."""
     plat = build_system()
-    env: Dict = {}
+    env = Board(plat.sim)
     out: Dict = {}
 
     def server(api):

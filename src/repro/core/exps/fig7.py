@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.api import build_system
-from repro.core.exps.common import rendezvous
 from repro.linuxsim.machine import O_CREAT as L_O_CREAT
 from repro.linuxsim.machine import O_TRUNC as L_O_TRUNC
 from repro.linuxsim.machine import O_WRONLY as L_O_WRONLY
+from repro.mux.api import Board, rendezvous
 from repro.services.boot import boot_m3fs, boot_pager, connect_fs
 from repro.services.m3fs import FsClient, O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 
@@ -46,7 +46,7 @@ def _run_m3v(op: str, shared: bool, p: Fig7Params) -> float:
         fs.populate(plat.tiles[fs.region.mem_tile].dtu, "/bench.dat",
                     b"\xab" * p.file_bytes,
                     max_extent_blocks=p.max_extent_blocks)
-    env: Dict = {}
+    env = Board(plat.sim)
     out: Dict = {}
 
     def bench(api):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.api import build_system
-from repro.core.exps.common import rendezvous
+from repro.mux.api import Board, rendezvous
 from repro.services.boot import boot_net, boot_pager, connect_net
 from repro.services.net import NetClient
 
@@ -35,7 +35,7 @@ def _run_m3v(shared: bool, p: Fig8Params) -> float:
     plat.run_proc(boot_pager(plat, tile=pager_tile))
     net = plat.run_proc(boot_net(plat, tile=nic_tile))
     net.remote.echo_ports.add(ECHO_PORT)
-    env: Dict = {}
+    env = Board(plat.sim)
     out: Dict = {}
 
     def bench(api):

@@ -22,7 +22,7 @@ from typing import Dict, List
 
 from repro.api import SystemConfig, build_system
 from repro.apps.traceplayer import TracePlayer
-from repro.core.exps.common import rendezvous
+from repro.mux.api import Board, rendezvous
 from repro.posix.vfs import M3vVfs
 from repro.services.boot import boot_m3fs, connect_fs
 from repro.services.m3fs import FsClient
@@ -120,7 +120,7 @@ def _throughput(system: str, n_tiles: int, p: Fig9Params) -> float:
         fs = plat.run_proc(boot_m3fs(plat, tile=tile, blocks=p.fs_blocks,
                                      name=f"m3fs{tile}"))
         _populate(fs, p)
-        env: Dict = {}
+        env = Board(plat.sim)
         out: Dict = {}
         results[tile] = out
 

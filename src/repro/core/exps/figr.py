@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.api import FaultSpec, SystemConfig, build_system
-from repro.core.exps.common import rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
+from repro.mux.api import Board, rendezvous
 from repro.sim.trace import Tracer
 from repro.testing.invariants import InvariantSuite
 
@@ -73,7 +73,7 @@ def _run_workload(system: str, rate: float, p: FigRParams) -> Dict[str, float]:
         tracer = Tracer(record=False).attach(plat.sim)
     suite = InvariantSuite().attach(tracer)
 
-    env: Dict = {}
+    env = Board(plat.sim)
     outs: List[Dict] = [{} for _ in range(p.pairs)]
 
     def server(api, idx):

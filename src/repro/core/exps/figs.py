@@ -72,9 +72,9 @@ from repro.api import (
     build_system,
 )
 from repro.apps.lsm import LsmStore
-from repro.core.exps.common import rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
+from repro.mux.api import Board, rendezvous
 from repro.mux.mpmc import VirtualLinkQueue
 from repro.posix.vfs import M3vVfs
 from repro.services.boot import boot_m3fs, connect_fs
@@ -168,7 +168,7 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
         for t in DEFAULT_TENANTS:
             stack.set_quota(t.name, pt.quota_mult * t.weight * pt.base_rps)
 
-    env: Dict = {}
+    env = Board(plat.sim)
     acct = {"completed": 0, "shed": 0, "failed": 0,
             "t_first": SIM_LIMIT_PS, "t_last": 0}
     # per-stage uid sets: tiny (G * requests uids) and turns a stuck

@@ -21,6 +21,7 @@ from repro.apps.voice import (
 )
 from repro.dtu.endpoints import Perm
 from repro.kernel.caps import CapKind, MGateObj
+from repro.mux.api import Board
 from repro.services.boot import boot_net, boot_pager, connect_net
 from repro.tiles.costs import ROCKET
 
@@ -48,7 +49,7 @@ def run_voice_once(shared: bool, p: VoiceParams) -> Dict[str, float]:
                   for i in range(p.triggers)]
     audio = make_audio(n_samples, trigger_at=trigger_at)
 
-    env: Dict = {}
+    env = Board(plat.sim)
     ctrl = plat.controller
     scanner = plat.run_proc(ctrl.spawn(
         "scanner", p.scanner_tile, scanner_program(env, audio, p.triggers)))

@@ -37,8 +37,57 @@ _chans = itertools.count(1)
 class TmCall:
     """A trap into the tile multiplexer."""
 
-    op: str                      # block | yield | exit | translate | wait_dev
+    op: str                      # block | yield | sleep | wait | exit | translate
     args: Dict[str, Any] = field(default_factory=dict)
+
+
+class Board(dict):
+    """The boot board: channel ids the harness publishes to activities.
+
+    A dict whose every write (``board[k] = v`` or ``board.update(...)``)
+    fires :attr:`changed`, the event that :func:`rendezvous` waiters
+    are blocked on.  The event is made on first demand, so a write
+    nobody waits for schedules nothing.
+    """
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+        self._changed = None
+
+    @property
+    def changed(self):
+        """The event the next write fires."""
+        if self._changed is None:
+            self._changed = self.sim.event()
+        return self._changed
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self._fire()
+
+    def update(self, *args, **kwargs) -> None:
+        super().update(*args, **kwargs)
+        self._fire()
+
+    def _fire(self) -> None:
+        ev, self._changed = self._changed, None
+        if ev is not None:
+            ev.succeed()
+
+
+def rendezvous(api, board: Board, *keys) -> Generator:
+    """Boot-time helper: wait until the harness published ``keys``.
+
+    While a key is missing the activity traps with a ``wait`` TMCall:
+    the multiplexer blocks it (the core goes to other activities, or
+    idles) until the next write to the board, the way a core request
+    wakes a blocked receiver (section 3.7).  The keys are checked again
+    after every wake, and after a refused wait (the board changed
+    during the trap entry).
+    """
+    while any(k not in board for k in keys):
+        yield TmCall("wait", {"event": board.changed})
 
 
 class RpcError(Exception):

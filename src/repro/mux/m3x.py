@@ -400,15 +400,23 @@ class M3xMux:
         if op == "yield":
             ctx.state = ActState.READY
             return None, True  # single-context view: nothing else to run here
-        if op == "sleep":
+        if op == "sleep" or op == "wait":
+            if op == "wait" and call.args["event"].triggered:
+                # fired during the trap entry (see TileMux._tmcall)
+                yield self._trap_exit_ps
+                return False, True
             ctx.state = ActState.BLOCKED
             self._emit("act_block", act=ctx.act_id)
-            deadline = self.sim.now + call.args["ps"]
-            self.sim.process(self._wake_after(ctx, deadline))
+            if op == "sleep":
+                deadline = self.sim.now + call.args["ps"]
+                self.sim.process(self._wake_after(ctx, deadline))
+            else:
+                call.args["event"].callbacks.append(
+                    lambda _ev: self._wake_sleeper(ctx, "wait"))
             if len(self.acts) > 1:
-                # a nap is a block as far as the controller is concerned:
-                # without the notify it would never install the
-                # co-resident activity for the duration
+                # a nap or a wait is a block as far as the controller
+                # is concerned: without the notify it would never
+                # install the co-resident activity for the duration
                 yield from self._notify_ctrl(
                     NotifyMsg(TmuxNotify.BLOCKED, {"tile": self.tile_id,
                                                    "act_id": ctx.act_id}))
@@ -425,12 +433,16 @@ class M3xMux:
 
     def _wake_after(self, ctx: Activity, deadline: int) -> Generator:
         yield max(0, deadline - self.sim.now)
+        self._wake_sleeper(ctx, "sleep")
+
+    def _wake_sleeper(self, ctx: Activity, reason: str) -> None:
+        """End a sleep or wait: make the activity runnable again."""
         if ctx.state is ActState.BLOCKED:
             ctx.state = ActState.READY
-            self._emit("act_wake", act=ctx.act_id, reason="sleep")
+            self._emit("act_wake", act=ctx.act_id, reason=reason)
             if self.current is not ctx and len(self.acts) > 1:
                 # descheduled while napping: only the controller can
-                # reinstall it, and only RCTMux knows the timer fired —
+                # reinstall it, and only RCTMux knows the wakeup came —
                 # queue a WAKEUP notify for the main loop to send
                 self._wake_pending.append(ctx.act_id)
             self._on_msg(-1)

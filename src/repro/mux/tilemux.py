@@ -4,7 +4,7 @@ TileMux runs in the core's privileged mode.  It
 
 * schedules resident activities with a preemptive round-robin scheduler
   and time slices,
-* services TMCalls (block, yield, exit, translate, sleep),
+* services TMCalls (block, yield, exit, translate, sleep, wait),
 * handles core requests from the vDTU (messages for non-running
   activities) and keeps the per-activity unread-message counters,
 * maintains page tables and the vDTU's software-loaded TLB, handing
@@ -393,14 +393,23 @@ class TileMux:
             self.ready.append(ctx)
             self._sched_trap(ctx)
             return None, False
-        if op == "sleep":
+        if op == "sleep" or op == "wait":
+            if op == "wait" and call.args["event"].triggered:
+                # the event fired during the trap entry: blocking now
+                # would wait for a wakeup that already happened
+                yield self._trap_exit_ps
+                return False, True
             ctx.state = ActState.BLOCKED
             ctx._sleeping = True
             self._emit("act_block", act=ctx.act_id)
             self._sched_trap(ctx)
-            deadline = self.sim.now + call.args["ps"]
-            self.sim.process(self._wake_after(ctx, deadline),
-                             name=f"sleep-{ctx.name}")
+            if op == "sleep":
+                deadline = self.sim.now + call.args["ps"]
+                self.sim.process(self._wake_after(ctx, deadline),
+                                 name=f"sleep-{ctx.name}")
+            else:
+                call.args["event"].callbacks.append(
+                    lambda _ev: self._wake_sleeper(ctx, "wait"))
             return None, False
         if op == "exit":
             yield from self._exit(ctx, call.args.get("code", 0))
@@ -422,14 +431,18 @@ class TileMux:
 
     def _wake_after(self, ctx: Activity, deadline: int) -> Generator:
         yield max(0, deadline - self.sim.now)
+        self._wake_sleeper(ctx, "sleep")
+
+    def _wake_sleeper(self, ctx: Activity, reason: str) -> None:
+        """End a sleep or wait: make the activity runnable again (its
+        unread counter is untouched)."""
         ctx._sleeping = False
         if self.acts.get(ctx.act_id) is not ctx:
-            return  # exited (or migrated, which MIGRATE_OUT forbids asleep)
+            return  # exited (or migrated, which MIGRATE_OUT forbids here)
         if ctx.state is ActState.BLOCKED:
             ctx.state = ActState.READY
-            ctx.msgs = ctx.msgs  # counter untouched; just runnable again
             self.ready.append(ctx)
-            self._emit("act_wake", act=ctx.act_id, reason="sleep")
+            self._emit("act_wake", act=ctx.act_id, reason=reason)
             self._on_irq()
 
     def _exit(self, ctx: Activity, code: int) -> Generator:
@@ -622,7 +635,10 @@ class TileMux:
                 ok, error = False, (f"activity {act.act_id} not migratable "
                                     f"({act.state.value})")
             elif getattr(act, "_sleeping", False):
-                ok, error = False, f"activity {act.act_id} is sleeping"
+                # its wakeup (a timer or a board event) is bound to
+                # this tile and would be lost after the move
+                ok, error = False, (f"activity {act.act_id} is sleeping "
+                                    f"or waiting")
             elif self._in_vdtu_cmd(act):
                 ok, error = False, (f"activity {act.act_id} is inside a "
                                     f"vDTU command")

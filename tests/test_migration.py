@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import PlacementSpec, SchedSpec, SystemConfig, build_system
+from repro.mux.api import Board, rendezvous
 from repro.mux.recovery import RecoveryPolicy, enable_recovery
 from repro.services.boot import boot_m3fs
 
@@ -193,6 +194,28 @@ def test_migrate_refuses_ep_range_collision():
         plat.run_proc(ctrl.spawn(f"crowd{i}", 2, blocked))
     assert plat.run_proc(ctrl.migrate(first.act_id, 2)) is False
     assert first.tile_id == 1
+
+
+def test_migrate_refuses_waiting_activity():
+    # a boot-board waiter's wakeup is a callback bound to the source
+    # TileMux: moved while it waits, the wakeup would find the activity
+    # gone and be lost, so MIGRATE_OUT refuses it like a sleeper
+    plat = _build()
+    ctrl = plat.controller
+    board, woke = Board(plat.sim), []
+
+    def waiter(api):
+        yield from rendezvous(api, board, "go")
+        woke.append(api.mux.tile_id)
+
+    act = plat.run_proc(ctrl.spawn("waiter", 1, waiter))
+    plat.sim.run(until=plat.sim.now + 10_000_000)
+    assert plat.run_proc(ctrl.migrate(act.act_id, 2)) is False
+    assert plat.stats.counter_value("ctrl/migrate_refused") == 1
+    assert act.tile_id == 1
+    board["go"] = True
+    plat.sim.run_until_event(act.exit_event, limit=LIMIT)
+    assert woke == [1]
 
 
 def test_migrate_refuses_activity_inside_vdtu_command():

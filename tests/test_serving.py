@@ -20,10 +20,13 @@ import pytest
 
 from repro.api import ServingSpec, SystemConfig, build_system
 from repro.api import SystemConfig, build_system
+from repro.core.exps import figs as figs_mod
 from repro.core.exps.figs import FigSParams, FigSPoint, figs_points, \
     reduce_figs, run_figs_point
 from repro.core.report import shape_checks
-from repro.mux.api import ActivityApi
+from repro.kernel.protocol import TmuxNotify
+from repro.mux.api import ActivityApi, TmCall, rendezvous
+from repro.mux.m3x import M3xMux
 from repro.mux.mpmc import VirtualLinkQueue
 from repro.services.serving import (
     AdmissionQueue,
@@ -33,6 +36,7 @@ from repro.services.serving import (
     TokenBucket,
 )
 from repro.sim import Simulator
+from repro.sim.trace import capture
 from repro.testing.chaos import ChaosCampaign, Floor, Phase, run_campaign
 from repro.workloads.serving import (
     DEFAULT_TENANTS,
@@ -288,6 +292,25 @@ def _count_waits(monkeypatch):
     return calls
 
 
+def _record_rendezvous(monkeypatch):
+    """Record every item figS's boot rendezvous yields."""
+    items = []
+
+    def watched(api, env, *keys):
+        gen = rendezvous(api, env, *keys)
+        value = None
+        while True:
+            try:
+                item = gen.send(value)
+            except StopIteration:
+                return
+            items.append(item)
+            value = yield item
+
+    monkeypatch.setattr(figs_mod, "rendezvous", watched)
+    return items
+
+
 @pytest.mark.parametrize("system,load", [("m3v", 0.3), ("m3x", 2.0)])
 def test_figs_receive_loops_block_instead_of_sleep_polling(monkeypatch,
                                                            system, load):
@@ -295,15 +318,58 @@ def test_figs_receive_loops_block_instead_of_sleep_polling(monkeypatch,
     # them; the balancer sleeps only while a shard queue waits for a
     # credit, and every such wait follows a backpressure event
     calls = _count_waits(monkeypatch)
+    boot_waits = _record_rendezvous(monkeypatch)
     pt = _smoke_pt(system=system, load=load, requests=10)
     res = run_figs_point(pt)
     assert res["completed"] + res["shed"] + res["failed"] == 2 * 10
+    # nobody timer-polls at boot either: a rendezvous only ever traps
+    # to block until the harness publishes the next key
+    assert boot_waits
+    assert all(isinstance(i, TmCall) and i.op == "wait" for i in boot_waits)
     assert calls.get(("sink", "sleep_us"), 0) == 0
     assert calls.get(("sink", "block"), 0) > 0
     assert calls.get(("lb", "block"), 0) > 0
     assert calls.get(("lb", "sleep_us"), 0) <= res["backpressure"]
     # same seed, same point: the event-driven loops stay deterministic
     assert run_figs_point(pt) == res
+
+
+def test_figs_adaptive_point_completes_with_boot_waiters():
+    # the rebalancer tries to move gateways while they still wait at
+    # boot for their KV shards; MIGRATE_OUT must refuse those waiters
+    # (their wakeup is bound to the source tile) or the arm never ends
+    p = FigSParams()
+    pt = next(pt for pt in figs_points(p) if pt.rebalance)
+    res = run_figs_point(pt)
+    assert res["completed"] + res["shed"] + res["failed"] == \
+        pt.gateways * pt.requests
+    assert res["migrate_refused"] > 0
+
+
+def test_m3x_waiter_sharing_its_tile_is_reinstalled_by_wakeup(monkeypatch):
+    # on M3x a gateway waits at boot while its tile's sink is installed;
+    # only RCTMux sees the board event, so it must send a WAKEUP notify
+    # for the controller to switch the gateway back in
+    wakeups = []
+    orig = M3xMux._notify_ctrl
+
+    def spy(mux, note):
+        if note.kind is TmuxNotify.WAKEUP:
+            wakeups.append(note.args["act_id"])
+        return orig(mux, note)
+
+    monkeypatch.setattr(M3xMux, "_notify_ctrl", spy)
+    with capture() as tracer:
+        res = run_figs_point(_smoke_pt(system="m3x", load=2.0,
+                                       requests=10))
+    assert res["completed"] + res["shed"] + res["failed"] == 2 * 10
+    waited = {ev.fields["act"] for ev in tracer.events
+              if ev.kind == "act_wake" and ev.fields["reason"] == "wait"}
+    woken = waited & set(wakeups)
+    assert woken
+    installed = {ev.fields["act"] for ev in tracer.events
+                 if ev.kind == "m3x_switch"}
+    assert woken <= installed
 
 
 def test_figs_traced_point_never_steps(monkeypatch):
