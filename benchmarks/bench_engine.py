@@ -9,7 +9,7 @@ gate is ``scripts/check_perf.sh``.
 
 from conftest import paper_scale, print_table
 
-from repro.bench import SEED_BASELINE, churn_workload
+from repro.bench import churn_workload
 from repro.sim import engine
 
 
@@ -41,13 +41,8 @@ def test_fig9_quick_events_per_sec(benchmark):
     benchmark.pedantic(run_fig9, args=(params,), rounds=1, iterations=1)
     events = engine.events_processed() - before
     wall = benchmark.stats.stats.total
-    base = SEED_BASELINE["fig9_quick"]
-    print_table("fig9 quick: engine throughput vs seed baseline", [
+    print_table("fig9 quick: engine throughput", [
         f"{'':14s} {'wall':>8s} {'events':>8s} {'ev/s':>10s}",
-        f"{'seed':14s} {base['wall_s']:8.3f} {base['events']:8d} "
-        f"{base['events_per_sec']:10,.0f}",
         f"{'current':14s} {wall:8.3f} {events:8d} {events / wall:10,.0f}",
-        f"work-normalized speedup: {base['wall_s'] / wall:.2f}x "
-        f"(seed wall / current wall, identical simulated work)",
     ])
     assert events > 0

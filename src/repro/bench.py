@@ -5,8 +5,8 @@ engine-only churn microbenchmark plus quick-scale figure workloads —
 and emits two schema-versioned JSON files:
 
 ``BENCH_engine.json``
-    the engine trajectory: churn + fig9 quick, the recorded
-    pre-optimization *seed* baseline, and the speedup against it
+    the engine trajectory: churn, fig9 quick and the 64-tile fig9
+    scaling point
 ``BENCH_figs.json``
     per-figure quick-mode wall-clock (fig6, fig8, fig9, and one figS
     serving point)
@@ -19,17 +19,9 @@ amount of scheduled work cannot hide inside wall-clock noise — while
 wall-clock throughput is compared with a noise-tolerant threshold
 (``PERF_THRESHOLD``, default 25%).
 
-Two measurement caveats are designed in rather than papered over:
-
-* **Wall-clock noise** — every benchmark runs ``runs`` times after a
-  warmup and reports the *best* run; the gate compares relative, not
-  absolute, numbers.
-* **Metric honesty** — the optimized engine schedules roughly half the
-  events the seed needed for the same simulated fig9 work (batched NoC
-  transfers, merged DTU command phases), so *raw* events/sec understates
-  the real gain.  The trajectory therefore also records
-  ``work_normalized_events_per_sec`` = seed events / current wall, which
-  divides identical work by wall time on both sides of the comparison.
+Wall-clock noise is handled, not hidden: every benchmark runs
+``runs`` times after a warmup and reports the *best* run, and the gate
+compares relative, not absolute, numbers.
 
 ``REPRO_BENCH_HANDICAP_S`` injects a sleep into the timed region of
 selected benchmarks (``"0.2"`` for all, ``"fig9_quick:0.2"`` for one) —
@@ -52,24 +44,6 @@ SCHEMA = "repro-bench/1"
 
 ENGINE_FILE = "BENCH_engine.json"
 FIGS_FILE = "BENCH_figs.json"
-
-#: Pre-optimization baseline: the growth-seed engine (git e6d6aea),
-#: measured on the same host interleaved with the optimized build
-#: (alternating subprocess A/B runs, median of best-of-3 sittings) so
-#: machine drift cancels out of the comparison.  ``events`` counts are
-#: exact; the seed scheduled 141,183 events for the fig9 quick sweep
-#: the optimized engine covers in ~70,400.  The seed churn run yields
-#: ``Timeout`` events where the optimized engine uses the int fast
-#: path (the seed has none) — same logical schedule, and in fact the
-#: identical event count.
-SEED_BASELINE: Dict[str, Dict[str, Any]] = {
-    "commit": {"rev": "e6d6aea", "note": "growth seed, pre-optimization"},
-    "fig9_quick": {"wall_s": 1.0009, "events": 141183,
-                   "events_per_sec": 141054.0},
-    "engine_churn": {"wall_s": 0.1604, "events": 80040,
-                     "events_per_sec": 498974.0},
-}
-
 
 # -- workloads -----------------------------------------------------------------
 
@@ -203,34 +177,18 @@ def fingerprint() -> Dict[str, Any]:
 # -- the two bench suites ------------------------------------------------------
 
 def run_engine_bench(runs: int = 3) -> Dict[str, Any]:
-    """The engine trajectory: churn + fig9 quick vs the seed baseline,
-    plus the 64-tile scaling point."""
+    """The engine trajectory: churn + fig9 quick, plus the 64-tile
+    scaling point."""
     benches = {
         "engine_churn": measure("engine_churn", churn_workload, runs),
         "fig9_quick": measure("fig9_quick", _fig9_quick, runs),
         "fig9_64_serial": measure("fig9_64_serial", _fig9_64, runs),
-    }
-    base = SEED_BASELINE["fig9_quick"]
-    wall = benches["fig9_quick"]["wall_s"]
-    speedup = {
-        # identical simulated work divided by wall time on both sides —
-        # the honest cross-engine comparison (see module docstring)
-        "fig9_quick_wall": round(base["wall_s"] / wall, 2),
-        "fig9_quick_work_normalized_events_per_sec":
-            round(base["events"] / wall, 1),
-        "fig9_quick_vs_baseline_events_per_sec":
-            round((base["events"] / wall) / base["events_per_sec"], 2),
-        "engine_churn_events_per_sec": round(
-            benches["engine_churn"]["events_per_sec"]
-            / SEED_BASELINE["engine_churn"]["events_per_sec"], 2),
     }
     return {
         "schema": SCHEMA,
         "kind": "engine",
         "fingerprint": fingerprint(),
         "benches": benches,
-        "baseline": SEED_BASELINE,
-        "speedup": speedup,
     }
 
 
@@ -292,8 +250,6 @@ def validate(doc: Dict[str, Any]) -> List[str]:
                 problems.append(f"{name}: missing/invalid {field!r}")
         if isinstance(b.get("events"), int) and b["events"] <= 0:
             problems.append(f"{name}: nonpositive event count")
-    if doc.get("kind") == "engine" and "baseline" not in doc:
-        problems.append("engine bench must carry the seed baseline")
     return problems
 
 

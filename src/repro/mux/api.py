@@ -14,6 +14,10 @@ The library implements the paper's user-level policies:
 * commands that fail with a translation fault trap to TileMux to fill
   the vDTU TLB, then retry (section 3.6);
 * transfers are chunked to a single page (section 3.6).
+
+Each command's retry chain is written once, here, and runs only after
+the first attempt failed.  M3x's library (:mod:`repro.mux.m3x`) reuses
+all of it and overrides only the ``RECV_GONE`` hand-off.
 """
 
 from __future__ import annotations
@@ -129,11 +133,6 @@ class ActivityApi:
 
     # ------------------------------------------------- fault recovery plumbing
 
-    @property
-    def recovery(self):
-        """The tile's recovery policy, or None (fault-free operation)."""
-        return getattr(self.mux, "recovery", None)
-
     def _next_seq(self, key: Any) -> Tuple[int, int]:
         """The (channel, sequence) pair for the next logical message.
 
@@ -162,6 +161,72 @@ class ActivityApi:
             tracer.emit(self.sim, "retransmit", tile=self.mux.tile_id,
                         act=self.act.act_id, attempt=attempt, backoff=delay)
         yield delay
+
+    def _retry(self, fault: DtuFault, command, virt: int = 0,
+               perm: Perm = Perm.R, retryable=RETRYABLE_ERRORS,
+               bounced=None, wait: bool = True) -> Generator:
+        """Re-issue a failed DTU command until it succeeds.
+
+        The one retry chain of the library.  It runs only once the first
+        attempt raised ``fault``, so a fault-free command stays a single
+        ``yield from`` of the vDTU.  ``command()`` issues the command
+        once; the chain returns its result.  Per error:
+
+        * a translation fault traps to the multiplexer to fill the vDTU
+          TLB (section 3.6);
+        * a SEND out of credits yields or re-polls every 5 us until the
+          consumer acked older messages, or returns False unless ``wait``;
+        * ``bounced(fault)`` takes over a ``RECV_GONE``;
+        * with the recovery layer on, a ``retryable`` error waits out
+          one backoff.  Any other fault propagates.
+        """
+        attempt = 0
+        while True:
+            error = fault.error
+            if error is DtuError.TRANSLATION_FAULT:
+                yield from self.touch(virt, perm)
+            elif error is DtuError.MISSING_CREDITS:
+                if not wait:
+                    return False
+                if (not self.mux.others_ready(self.act)
+                        or (yield TmCall("yield", {})) is False):
+                    yield 5_000_000  # re-poll in 5 us
+                yield from self.compute(self.costs.lib_poll)
+            elif error is DtuError.RECV_GONE and bounced is not None:
+                return (yield from bounced(fault))
+            else:
+                policy = self.mux.recovery
+                if policy is None or error not in retryable:
+                    raise fault
+                attempt += 1
+                yield from self._backoff(policy, attempt, fault)
+            try:
+                return (yield from command())
+            except DtuFault as again:
+                fault = again
+
+    def _resend(self, fault: DtuFault, wait: bool, ep: int, data: Any,
+                size: int, reply_ep: Optional[int], virt: int,
+                seq) -> Generator:
+        """SEND's retry chain, shared by :meth:`send` and :meth:`send_nowait`."""
+        return (yield from self._retry(
+            fault, lambda: self.vdtu.cmd_send(ep, data, size,
+                                              reply_ep=reply_ep,
+                                              virt_addr=virt, seq=seq),
+            virt, wait=wait, bounced=lambda f: self._send_bounced(
+                f, ep, data, size, reply_ep, seq)))
+
+    # The vDTU reaches every resident activity (section 3.4), so on M3v a
+    # RECV_GONE bounce is an error.  M3x's library overrides these two
+    # hand-offs (as generators) to take the slow path.
+
+    def _send_bounced(self, fault: DtuFault, ep: int, data: Any, size: int,
+                      reply_ep: Optional[int], seq):
+        raise fault
+
+    def _reply_bounced(self, fault: DtuFault, msg: Message, data: Any,
+                       size: int, seq):
+        raise fault
 
     # ------------------------------------------------------------- compute
 
@@ -196,42 +261,19 @@ class ActivityApi:
             if ok is False:
                 raise RpcError(f"unresolvable fault at {virt:#x}")
 
-    def _retry_translation(self, virt: int, perm: Perm) -> Generator:
-        yield from self.touch(virt, perm)
-
     # -------------------------------------------------------------- messaging
 
     def send(self, ep: int, data: Any, size: int,
              reply_ep: Optional[int] = None, virt: int = 0) -> Generator:
-        """SEND with translation-retry and credit-wait; charges library
-        overhead.  Waiting for credits models the library's spin on the
-        send endpoint until the consumer acknowledges older messages."""
+        """SEND; charges library overhead and waits for credits."""
         yield from self.compute(self.costs.lib_send)
-        policy = self.recovery
-        seq = None if policy is None else self._next_seq(ep)
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_send(ep, data, size,
-                                              reply_ep=reply_ep,
-                                              virt_addr=virt, seq=seq)
-                return
-            except DtuFault as fault:
-                if fault.error is DtuError.TRANSLATION_FAULT:
-                    yield from self._retry_translation(virt, Perm.R)
-                    continue
-                if fault.error is DtuError.MISSING_CREDITS:
-                    if self.mux.others_ready(self.act):
-                        yield TmCall("yield", {})
-                    else:
-                        yield 5_000_000  # re-poll in 5 us
-                    yield from self.compute(self.costs.lib_poll)
-                    continue
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+        seq = None if self.mux.recovery is None else self._next_seq(ep)
+        try:
+            yield from self.vdtu.cmd_send(ep, data, size, reply_ep=reply_ep,
+                                          virt_addr=virt, seq=seq)
+        except DtuFault as fault:
+            yield from self._resend(fault, True, ep, data, size, reply_ep,
+                                    virt, seq)
 
     def send_nowait(self, ep: int, data: Any, size: int,
                     reply_ep: Optional[int] = None,
@@ -243,45 +285,27 @@ class ActivityApi:
         older messages, i.e. downstream backpressure.  Overload-aware
         senders (the serving stack's gateways and balancer) use the
         False return to queue, shed, or steer instead of blocking the
-        core the way :meth:`send` does.  Translation retries and
-        recovery-layer retransmissions behave exactly like ``send``.
+        core the way :meth:`send` does.  Everything else behaves
+        exactly like ``send``.
         """
         yield from self.compute(self.costs.lib_send)
-        policy = self.recovery
-        seq = None if policy is None else self._next_seq(ep)
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_send(ep, data, size,
-                                              reply_ep=reply_ep,
-                                              virt_addr=virt, seq=seq)
-                return True
-            except DtuFault as fault:
-                if fault.error is DtuError.TRANSLATION_FAULT:
-                    yield from self._retry_translation(virt, Perm.R)
-                    continue
-                if fault.error is DtuError.MISSING_CREDITS:
-                    return False
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+        seq = None if self.mux.recovery is None else self._next_seq(ep)
+        try:
+            yield from self.vdtu.cmd_send(ep, data, size, reply_ep=reply_ep,
+                                          virt_addr=virt, seq=seq)
+        except DtuFault as fault:
+            # the chain returns None once sent (SEND has no result)
+            return (yield from self._resend(fault, False, ep, data, size,
+                                            reply_ep, virt, seq)) is not False
+        return True
 
     def fetch(self, ep: int) -> Generator:
         yield from self.compute(self.costs.lib_fetch)
-        policy = self.recovery
-        attempt = 0
-        while True:
-            try:
-                msg = yield from self.vdtu.cmd_fetch(ep)
-                return msg
-            except DtuFault as fault:
-                if policy is not None and fault.error is DtuError.EP_FAULT:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+        try:
+            return (yield from self.vdtu.cmd_fetch(ep))
+        except DtuFault as fault:
+            return (yield from self._retry(
+                fault, lambda: self.vdtu.cmd_fetch(ep)))
 
     def recv(self, ep: int) -> Generator:
         """Blocking receive (section 3.7).
@@ -315,38 +339,24 @@ class ActivityApi:
     def reply(self, ep: int, msg: Message, data: Any, size: int,
               virt: int = 0) -> Generator:
         yield from self.compute(self.costs.lib_reply)
-        policy = self.recovery
-        seq = None if policy is None else self._next_seq(("reply", ep))
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_reply(ep, msg, data, size,
-                                               virt_addr=virt, seq=seq)
-                return
-            except DtuFault as fault:
-                if fault.error is DtuError.TRANSLATION_FAULT:
-                    yield from self._retry_translation(virt, Perm.R)
-                    continue
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+        seq = (None if self.mux.recovery is None
+               else self._next_seq(("reply", ep)))
+        try:
+            yield from self.vdtu.cmd_reply(ep, msg, data, size,
+                                           virt_addr=virt, seq=seq)
+        except DtuFault as fault:
+            yield from self._retry(
+                fault, lambda: self.vdtu.cmd_reply(ep, msg, data, size,
+                                                   virt_addr=virt, seq=seq),
+                virt, bounced=lambda f: self._reply_bounced(f, msg, data,
+                                                            size, seq))
 
     def ack(self, ep: int, msg: Message) -> Generator:
         yield from self.compute(self.costs.lib_ack)
-        policy = self.recovery
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_ack(ep, msg)
-                return
-            except DtuFault as fault:
-                if policy is not None and fault.error is DtuError.EP_FAULT:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+        try:
+            yield from self.vdtu.cmd_ack(ep, msg)
+        except DtuFault as fault:
+            yield from self._retry(fault, lambda: self.vdtu.cmd_ack(ep, msg))
 
     def call(self, send_ep: int, reply_ep: int, data: Any, size: int) -> Generator:
         """RPC: send, await the reply, ack it; returns the reply payload."""
@@ -367,22 +377,23 @@ class ActivityApi:
 
     # ------------------------------------------------------------ memory gates
 
+    # READ and WRITE retry translation faults only; any other fault,
+    # recovery layer on or off, propagates to the caller
+
     def read(self, ep: int, offset: int, size: int, virt: int = 0) -> Generator:
         """READ via a memory endpoint, chunked to single pages."""
         chunks = []
         done = 0
         while done < size:
-            chunk = min(PAGE_SIZE, size - done)
-            while True:
-                try:
-                    data = yield from self.vdtu.cmd_read(
-                        ep, offset + done, chunk, virt_addr=virt)
-                    break
-                except DtuFault as fault:
-                    if fault.error is DtuError.TRANSLATION_FAULT:
-                        yield from self._retry_translation(virt, Perm.W)
-                        continue
-                    raise
+            at, chunk = offset + done, min(PAGE_SIZE, size - done)
+            try:
+                data = yield from self.vdtu.cmd_read(ep, at, chunk,
+                                                     virt_addr=virt)
+            except DtuFault as fault:
+                data = yield from self._retry(
+                    fault, lambda: self.vdtu.cmd_read(ep, at, chunk,
+                                                      virt_addr=virt),
+                    virt, Perm.W, retryable=())
             chunks.append(data)
             done += chunk
         return b"".join(chunks)
@@ -391,17 +402,14 @@ class ActivityApi:
         """WRITE via a memory endpoint, chunked to single pages."""
         done = 0
         while done < len(data):
-            chunk = data[done:done + PAGE_SIZE]
-            while True:
-                try:
-                    yield from self.vdtu.cmd_write(ep, offset + done, chunk,
-                                                   virt_addr=virt)
-                    break
-                except DtuFault as fault:
-                    if fault.error is DtuError.TRANSLATION_FAULT:
-                        yield from self._retry_translation(virt, Perm.R)
-                        continue
-                    raise
+            at, chunk = offset + done, data[done:done + PAGE_SIZE]
+            try:
+                yield from self.vdtu.cmd_write(ep, at, chunk, virt_addr=virt)
+            except DtuFault as fault:
+                yield from self._retry(
+                    fault, lambda: self.vdtu.cmd_write(ep, at, chunk,
+                                                       virt_addr=virt),
+                    virt, Perm.R, retryable=())
             done += len(chunk)
 
     # --------------------------------------------------------------- syscalls

@@ -20,6 +20,11 @@ The tile-local component here (:class:`M3xMux`) models M3x's thin
 "RCTMux": it runs whatever context the controller tells it to, saves
 and restores register state on command, and reports blocking.  It makes
 no scheduling decisions of its own.
+
+The activity library is M3v's (:mod:`repro.mux.api`) with one
+difference, the slow path: :class:`M3xActivityApi` overrides only the
+``RECV_GONE`` hand-off of SEND and REPLY, which forwards the bounced
+message through the controller.
 """
 
 from __future__ import annotations
@@ -28,13 +33,14 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.dtu import DtuError, DtuFault
 from repro.dtu.dtu import Dtu, ExtOp
-from repro.dtu.errors import RETRYABLE_ERRORS
 from repro.dtu.endpoints import EndpointKind, ReceiveEndpoint
 from repro.dtu.message import Message
 from repro.kernel.activity import ActState, Activity
 from repro.kernel.controller import Controller, EP_TMUX_REP, EP_TMUX_SEP, SyscallError
 from repro.kernel.protocol import (
     NotifyMsg,
+    Syscall,
+    SyscallMsg,
     TmuxNotify,
     TmuxOp,
     TmuxReply,
@@ -46,50 +52,24 @@ from repro.tiles.costs import CoreCosts
 
 
 class M3xActivityApi(ActivityApi):
-    """M3x flavour of the library: slow-path fallback on sends/replies.
+    """M3x flavour of the library: the slow path for bounced messages.
 
     Transparent multiplexing does *not* hold on M3x (section 3.9): when
-    the recipient is not running, the library must detect the error and
-    route the message through the controller.
+    the recipient is not running, the DTU bounces the message with
+    ``RECV_GONE`` and the library forwards it through the controller.
+    That hand-off is all this class adds; the credit wait, translation
+    retry and recovery backoff are the common library's.
     """
 
-    def send(self, ep: int, data: Any, size: int,
-             reply_ep: Optional[int] = None, virt: int = 0) -> Generator:
-        yield from self.compute(self.costs.lib_send)
-        policy = self.recovery
-        seq = None if policy is None else self._next_seq(ep)
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_send(ep, data, size,
-                                              reply_ep=reply_ep, seq=seq)
-                return
-            except DtuFault as fault:
-                if fault.error is DtuError.RECV_GONE:
-                    # the slow path rides the protected control network,
-                    # so it needs no retransmission of its own.  The
-                    # controller dedups against the saved endpoint state,
-                    # so forwarding a retransmission is safe.  A held
-                    # credit (earlier copy's outcome unknown) keeps its
-                    # wire linkage: the forwarded deposit carries our
-                    # send EP, and whoever acks the surviving copy
-                    # returns the credit over the NoC.
-                    held = seq is not None and seq in self.vdtu._credit_held
-                    yield from self._slow_path_send(
-                        ep, data, size, reply_ep, seq,
-                        credit_ep=ep if held else None)
-                    if held:
-                        self.vdtu._credit_held.discard(seq)
-                    return
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
-
-    def _slow_path_send(self, ep: int, data: Any, size: int,
-                        reply_ep: Optional[int], seq=None,
-                        credit_ep: Optional[int] = None) -> Generator:
+    def _send_bounced(self, fault: DtuFault, ep: int, data: Any, size: int,
+                      reply_ep: Optional[int], seq) -> Generator:
+        # the slow path rides the protected control network, so it needs
+        # no retransmission of its own.  The controller dedups against
+        # the saved endpoint state, so forwarding a retransmission is
+        # safe.  A held credit (earlier copy's outcome unknown) keeps its
+        # wire linkage: the forwarded deposit carries our send EP, and
+        # whoever acks the surviving copy returns the credit over the NoC.
+        held = seq is not None and seq in self.vdtu._credit_held
         send_ep = self.vdtu.eps[ep]
         yield from self.syscall_forward({
             "dst_tile": send_ep.dst_tile,
@@ -100,90 +80,38 @@ class M3xActivityApi(ActivityApi):
             "src_tile": self.vdtu.tile,
             "reply_ep": reply_ep,
             "seq": seq,
-            "src_credit_ep": credit_ep,
+            "src_credit_ep": ep if held else None,
         })
-        self.mux.stats.counter("m3x/slow_paths").add()
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit(self.sim, "m3x_slowpath", tile=self.vdtu.tile,
                         ep=ep, dst_tile=send_ep.dst_tile)
+        if held:
+            self.vdtu._credit_held.discard(seq)
 
-    def send_nowait(self, ep: int, data: Any, size: int,
-                    reply_ep: Optional[int] = None,
-                    virt: int = 0) -> Generator:
-        """Credit-aware send, M3x flavour: a descheduled recipient is
-        not backpressure — the message takes the slow path through the
-        controller exactly like :meth:`send`, and only genuine credit
-        exhaustion returns False."""
-        yield from self.compute(self.costs.lib_send)
-        policy = self.recovery
-        seq = None if policy is None else self._next_seq(ep)
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_send(ep, data, size,
-                                              reply_ep=reply_ep, seq=seq)
-                return True
-            except DtuFault as fault:
-                if fault.error is DtuError.RECV_GONE:
-                    held = seq is not None and seq in self.vdtu._credit_held
-                    yield from self._slow_path_send(
-                        ep, data, size, reply_ep, seq,
-                        credit_ep=ep if held else None)
-                    if held:
-                        self.vdtu._credit_held.discard(seq)
-                    return True
-                if fault.error is DtuError.MISSING_CREDITS:
-                    return False
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
-
-    def reply(self, ep: int, msg: Message, data: Any, size: int,
-              virt: int = 0) -> Generator:
-        yield from self.compute(self.costs.lib_reply)
-        policy = self.recovery
-        seq = None if policy is None else self._next_seq(("reply", ep))
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_reply(ep, msg, data, size, seq=seq)
-                return
-            except DtuFault as fault:
-                if fault.error is DtuError.RECV_GONE:
-                    # bounced reply: forward it, handing the requester's
-                    # send credit along so the controller restores what
-                    # the wire reply would have returned (the kernel
-                    # half of the slow path).  Retransmissions are safe:
-                    # the controller dedups against the saved endpoint
-                    # state and skips the credit on duplicates.
-                    yield from self.syscall_forward({
-                        "dst_tile": msg.src_tile,
-                        "dst_ep": msg.reply_ep,
-                        "label": msg.label,
-                        "data": data,
-                        "size": size,
-                        "src_tile": self.vdtu.tile,
-                        "reply_ep": None,
-                        "is_reply": True,
-                        "credit_ep": msg.reply_credit,
-                        "seq": seq,
-                    })
-                    self.mux.stats.counter("m3x/slow_paths").add()
-                    return
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+    def _reply_bounced(self, fault: DtuFault, msg: Message, data: Any,
+                       size: int, seq) -> Generator:
+        # forward the reply, handing the requester's send credit along so
+        # the controller restores what the wire reply would have returned
+        # (the kernel half of the slow path).  Retransmissions are safe:
+        # the controller dedups against the saved endpoint state and
+        # skips the credit on duplicates.
+        yield from self.syscall_forward({
+            "dst_tile": msg.src_tile,
+            "dst_ep": msg.reply_ep,
+            "label": msg.label,
+            "data": data,
+            "size": size,
+            "src_tile": self.vdtu.tile,
+            "reply_ep": None,
+            "is_reply": True,
+            "credit_ep": msg.reply_credit,
+            "seq": seq,
+        })
 
     def syscall_forward(self, args: Dict[str, Any]) -> Generator:
-        """FORWARD is a raw syscall message (we cannot recurse into
-        ``syscall`` because its reply handling uses recv)."""
-        from repro.kernel.protocol import Syscall, SyscallMsg
-
+        """One slow path: a raw FORWARD syscall message (we cannot recurse
+        into ``syscall`` because its reply handling uses recv)."""
         yield from self.compute(self.costs.lib_syscall)
         msg = SyscallMsg(Syscall.FORWARD, args)
         yield from self.vdtu.cmd_send(self.act.sysc_sep, msg, SyscallMsg.SIZE,
@@ -192,6 +120,7 @@ class M3xActivityApi(ActivityApi):
         yield from self.ack(self.act.sysc_rep, reply_msg)
         if not reply_msg.data.ok:
             raise RuntimeError(f"forward failed: {reply_msg.data.error}")
+        self.mux.stats.counter("m3x/slow_paths").add()
 
 
 class M3xMux:
@@ -260,9 +189,6 @@ class M3xMux:
             return ev
         self._poll_waiters.append(ev)
         return ev
-
-    def _charge(self, cycles: int) -> Generator:
-        yield self.clock.cycles_to_ps(cycles)
 
     def _notify_ctrl(self, note: NotifyMsg) -> Generator:
         """Send a notification, riding out notify-credit exhaustion.
@@ -399,7 +325,9 @@ class M3xMux:
             return None, False
         if op == "yield":
             ctx.state = ActState.READY
-            return None, True  # single-context view: nothing else to run here
+            # single-context view: nothing else to run here, so the core
+            # was not given up (a credit wait then re-polls on its timer)
+            return False, True
         if op == "sleep" or op == "wait":
             if op == "wait" and call.args["event"].triggered:
                 # fired during the trap entry (see TileMux._tmcall)

@@ -88,8 +88,7 @@ class TileMux:
         self.acts: Dict[int, Activity] = {}
         # the ready queue is a pluggable policy (repro.mux.sched); the
         # default round-robin behaves exactly like the historical deque
-        self.sched_spec = sched if sched is not None else SchedSpec()
-        self.ready: SchedPolicy = make_policy(self.sched_spec, tile_id)
+        self.ready: SchedPolicy = make_policy(sched)
         self.current: Optional[Activity] = None
         self._last_dispatched: Optional[Activity] = None
         self._own_msgs = 0                     # TileMux's unread counter
@@ -151,9 +150,6 @@ class TileMux:
         for ev in waiters:
             if not ev.triggered:
                 ev.succeed()
-
-    def _charge(self, cycles: int) -> Generator:
-        yield self.clock.cycles_to_ps(cycles)
 
     def _count_sched(self, name: str) -> None:
         """Per-policy scheduling counter (always on; ``repro stats``
@@ -253,8 +249,7 @@ class TileMux:
         ctx.msgs = 0  # now live in CUR_ACT
         ctx.state = ActState.RUNNING
         self.current = ctx
-        ctx.slice_end = self.sim.now + self.ready.slice_ps(ctx,
-                                                           self.timeslice_ps)
+        ctx.slice_end = self.sim.now + self.timeslice_ps
         yield self._timer_ps
 
         run_start = self.sim.now
@@ -280,9 +275,6 @@ class TileMux:
                 ctx.state = ActState.READY
                 ctx._resume_value = inject_val  # re-inject after preemption
                 self.ready.append(ctx)
-                if self.ready.on_preempt(ctx):
-                    self._emit("slice_autotune", act=ctx.act_id)
-                    self._count_sched("slice_autotune")
                 self._emit("preempt", act=ctx.act_id)
                 self.stats.counter("tilemux/preemptions").add()
                 self._count_sched("preempts")
@@ -386,12 +378,10 @@ class TileMux:
             ctx.state = ActState.BLOCKED
             self._emit("act_block", act=ctx.act_id)
             self._ctr_blocks.add()
-            self._sched_trap(ctx)
             return None, False
         if op == "yield":
             ctx.state = ActState.READY
             self.ready.append(ctx)
-            self._sched_trap(ctx)
             return None, False
         if op == "sleep" or op == "wait":
             if op == "wait" and call.args["event"].triggered:
@@ -402,7 +392,6 @@ class TileMux:
             ctx.state = ActState.BLOCKED
             ctx._sleeping = True
             self._emit("act_block", act=ctx.act_id)
-            self._sched_trap(ctx)
             if op == "sleep":
                 deadline = self.sim.now + call.args["ps"]
                 self.sim.process(self._wake_after(ctx, deadline),
@@ -422,12 +411,6 @@ class TileMux:
             yield self._trap_exit_ps
             return ok, True
         raise RuntimeError(f"unknown TMCall {op!r}")
-
-    def _sched_trap(self, ctx: Activity) -> None:
-        """Tell the policy the activity gave up the core early."""
-        if self.ready.on_trap(ctx):
-            self._emit("slice_autotune", act=ctx.act_id)
-            self._count_sched("slice_autotune")
 
     def _wake_after(self, ctx: Activity, deadline: int) -> Generator:
         yield max(0, deadline - self.sim.now)

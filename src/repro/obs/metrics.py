@@ -48,7 +48,6 @@ METRICS: Dict[str, Tuple[Tuple[str, str, Optional[str]], ...]] = {
     "ctx_switch": (("series", "tile{tile}/tilemux/ctx_switches", None),
                    ("observe", "tile{tile}/tilemux/switch_ps", "dur")),
     "preempt": (("series", "tile{tile}/sched/preempts", None),),
-    "slice_autotune": (("series", "tile{tile}/sched/slice_autotune", None),),
     "migrate_out": (("series", "tile{tile}/sched/migrations_out", None),),
     "migrate_in": (("series", "tile{tile}/sched/migrations_in", None),),
     "syscall": (("series", "ctrl/syscalls", None),),

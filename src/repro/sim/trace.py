@@ -48,7 +48,6 @@ kind                 fields
 ``tmux_pick``        ``tile, qlen`` — TileMux picks among ``qlen`` ready
 ``ctx_switch``       ``tile, act, dur`` — context switch took ``dur`` ps
 ``preempt``          ``tile, act`` — time-slice preemption
-``slice_autotune``   ``tile, act`` — the scheduling policy retuned a slice
 ``migrate``          ``tile, act, src, dst`` — controller migrated ``act``
 ``migrate_out``      ``tile, act`` — TileMux detached a migrating activity
 ``migrate_in``       ``tile, act`` — TileMux adopted a migrated activity

@@ -51,8 +51,6 @@ def test_emitted_engine_document_validates():
     doc = bench.run_engine_bench(runs=1)
     assert bench.validate(doc) == []
     assert doc["schema"] == "repro-bench/1"
-    assert doc["baseline"]["commit"]["rev"]
-    assert doc["speedup"]["fig9_quick_wall"] > 0
     # the entries scripts/check_perf.sh requires, and nothing else
     assert set(doc["benches"]) == {"engine_churn", "fig9_quick",
                                    "fig9_64_serial"}

@@ -5,6 +5,7 @@ import pytest
 from repro.api import SystemConfig, build_system
 from repro.dtu import Perm
 from repro.kernel.protocol import Syscall
+from repro.mux.api import Board, rendezvous
 from repro.tiles import BOOM
 
 
@@ -12,12 +13,6 @@ def small_platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
     return build_system(SystemConfig(kind="m3v"), **kw)
-
-
-def rendezvous(api, env, *keys):
-    """Boot-time helper: wait until the test wired the channels."""
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
 
 
 def test_spawn_creates_ready_activity():
@@ -49,7 +44,7 @@ def test_activity_exit_notifies_controller():
 
 def test_remote_ping_pong():
     plat = small_platform()
-    env = {}
+    env = Board(plat.sim)
     result = {}
 
     def server(api):
@@ -73,7 +68,7 @@ def test_remote_ping_pong():
 
 def test_local_ping_pong_shares_one_tile():
     plat = small_platform()
-    env = {}
+    env = Board(plat.sim)
     result = {}
 
     def server(api):
@@ -108,7 +103,7 @@ def test_local_rpc_slower_than_remote():
 
     def measure(local):
         plat = small_platform()
-        env = {}
+        env = Board(plat.sim)
         times = {}
 
         def server(api):
@@ -162,11 +157,10 @@ def test_runtime_channel_setup_via_syscalls():
     activation — all through controller system calls."""
     plat = small_platform()
     result = {}
-    shared = {}
+    shared = Board(plat.sim)
 
     def server(api):
-        while "client" not in shared:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, shared, "client")
         rsel = yield from api.syscall(Syscall.CREATE_RGATE,
                                       {"slots": 4, "slot_size": 128})
         rep = yield from api.syscall(Syscall.ACTIVATE, {"sel": rsel})
@@ -182,8 +176,7 @@ def test_runtime_channel_setup_via_syscalls():
         yield from api.reply(rep, msg, data="ok", size=16)
 
     def client(api):
-        while "ready" not in shared:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, shared, "ready")
         # reply gate for the RPC
         rsel = yield from api.syscall(Syscall.CREATE_RGATE,
                                       {"slots": 2, "slot_size": 128})

@@ -31,11 +31,6 @@ LIMIT = 10**13
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _rendezvous(api, env, *keys):
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
-
-
 def _build(**cfg):
     cfg.setdefault("kind", "m3v")
     cfg.setdefault("n_proc_tiles", 4)
@@ -52,10 +47,10 @@ def _run_migrating_rpc(n_calls=10, migrate_after_ps=2_000_000_000,
     (platform, received payload list, migrate outcome)."""
     plat = _build()
     ctrl = plat.controller
-    env, got = {}, []
+    env, got = Board(plat.sim), []
 
     def server(api):
-        yield from _rendezvous(api, env, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         for _ in range(n_calls):
             msg = yield from api.recv(env["s_rep"])
             got.append(msg.data)
@@ -63,7 +58,7 @@ def _run_migrating_rpc(n_calls=10, migrate_after_ps=2_000_000_000,
                                  size=16)
 
     def client(api):
-        yield from _rendezvous(api, env, "c_sep")
+        yield from rendezvous(api, env, "c_sep")
         for i in range(n_calls):
             v = yield from api.call(env["c_sep"], env["c_rep"], data=i,
                                     size=16)
@@ -120,10 +115,10 @@ def test_migrated_activity_can_migrate_again():
 def test_double_hop_migration_mid_conversation():
     plat = _build()
     ctrl = plat.controller
-    env, got = {}, []
+    env, got = Board(plat.sim), []
 
     def server(api):
-        yield from _rendezvous(api, env, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         for _ in range(12):
             msg = yield from api.recv(env["s_rep"])
             got.append(msg.data)
@@ -131,7 +126,7 @@ def test_double_hop_migration_mid_conversation():
                                  size=16)
 
     def client(api):
-        yield from _rendezvous(api, env, "c_sep")
+        yield from rendezvous(api, env, "c_sep")
         for i in range(12):
             v = yield from api.call(env["c_sep"], env["c_rep"], data=i,
                                     size=16)
@@ -183,17 +178,24 @@ def test_migrate_refuses_service_owner():
 def test_migrate_refuses_ep_range_collision():
     plat = _build()
     ctrl = plat.controller
-    env = {}
+    env = Board(plat.sim)
+
+    def busy(api):
+        yield from api.compute(10**9)
 
     def blocked(api):
-        yield from _rendezvous(api, env, "never")
+        yield from rendezvous(api, env, "never")
 
-    first = plat.run_proc(ctrl.spawn("first", 1, blocked))
+    # `first` computes, so TileMux would hand it over: only the EP-range
+    # check can refuse the move to the crowded tile
+    first = plat.run_proc(ctrl.spawn("first", 1, busy))
     # crowd tile 2's EP allocator past `first`'s EP range
     for i in range(4):
         plat.run_proc(ctrl.spawn(f"crowd{i}", 2, blocked))
     assert plat.run_proc(ctrl.migrate(first.act_id, 2)) is False
     assert first.tile_id == 1
+    assert plat.run_proc(ctrl.migrate(first.act_id, 3)) is True  # uncrowded
+    assert first.tile_id == 3
 
 
 def test_migrate_refuses_waiting_activity():
@@ -225,10 +227,10 @@ def test_migrate_refuses_activity_inside_vdtu_command():
     # invalidated.  Once it computes outside any command, it may move.
     plat = _build()
     ctrl = plat.controller
-    env, readback = {}, []
+    env, readback = Board(plat.sim), []
 
     def worker(api):
-        yield from _rendezvous(api, env, "mem")
+        yield from rendezvous(api, env, "mem")
         for i in range(60):
             yield from api.write(env["mem"], i * 64, bytes([i]) * 64)
         env["written"] = True
@@ -342,6 +344,7 @@ def test_default_config_runs_no_rebalancer():
 MIGRATION_SNIPPET = """\
 import hashlib
 from repro.api import PlacementSpec, SystemConfig, build_system
+from repro.mux.api import Board, rendezvous
 from repro.sim.trace import capture
 from repro.testing.golden import canonical_json
 
@@ -351,14 +354,10 @@ with capture() as tracer:
         placement=PlacementSpec(interval_us=300.0, hot_depth=2, spread=2,
                                 cooldown_us=900.0)))
     ctrl = plat.controller
-    env, got = {}, []
-
-    def rendezvous(api, *keys):
-        while any(k not in env for k in keys):
-            yield api.sim.timeout(1_000_000)
+    env, got = Board(plat.sim), []
 
     def server(api):
-        yield from rendezvous(api, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         for _ in range(8):
             msg = yield from api.recv(env["s_rep"])
             got.append(msg.data)
@@ -366,7 +365,7 @@ with capture() as tracer:
                                  size=16)
 
     def client(api):
-        yield from rendezvous(api, "c_sep")
+        yield from rendezvous(api, env, "c_sep")
         for i in range(8):
             v = yield from api.call(env["c_sep"], env["c_rep"], data=i,
                                     size=16)

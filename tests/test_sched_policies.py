@@ -2,8 +2,8 @@
 
 Three layers:
 
-* unit behaviour of the four disciplines (``rr``/``edf``/``lottery``/
-  ``autotune``) against the deque surface TileMux consumes;
+* unit behaviour of the two disciplines (``rr``/``edf``) against the
+  deque surface TileMux consumes;
 * config plumbing — ``SchedSpec`` on ``SystemConfig`` reaches every
   TileMux and is rejected on kinds without one;
 * equivalence — the default spec (and an explicit ``rr`` spec) leaves
@@ -14,10 +14,9 @@ Three layers:
 import pytest
 
 from repro.api import SystemConfig, build_system
+from repro.mux.api import Board, rendezvous
 from repro.mux.sched import (
-    AutotunePolicy,
     EdfPolicy,
-    LotteryPolicy,
     RoundRobinPolicy,
     SCHED_POLICIES,
     SchedSpec,
@@ -31,11 +30,9 @@ LIMIT = 10**13
 
 
 class FakeAct:
-    def __init__(self, name, deadline_ps=None, tickets=1):
+    def __init__(self, name, deadline_ps=None):
         self.name = name
         self.deadline_ps = deadline_ps
-        self.tickets = tickets
-        self.sched_slice_ps = None
 
     def __repr__(self):
         return f"FakeAct({self.name})"
@@ -46,22 +43,17 @@ class FakeAct:
 def test_spec_validates_policy_and_bounds():
     with pytest.raises(ValueError, match="unknown sched policy"):
         SchedSpec(policy="fifo")
-    with pytest.raises(ValueError, match="slice bounds"):
-        SchedSpec(slice_min_us=0)
-    with pytest.raises(ValueError, match="slice bounds"):
-        SchedSpec(slice_min_us=100.0, slice_max_us=50.0)
 
 
 def test_make_policy_covers_all_disciplines():
-    classes = {make_policy(SchedSpec(policy=p), tile_id=1).__class__
+    classes = {make_policy(SchedSpec(policy=p)).__class__
                for p in SCHED_POLICIES}
-    assert classes == {RoundRobinPolicy, EdfPolicy, LotteryPolicy,
-                       AutotunePolicy}
-    assert isinstance(make_policy(None, tile_id=0), RoundRobinPolicy)
+    assert classes == {RoundRobinPolicy, EdfPolicy}
+    assert isinstance(make_policy(None), RoundRobinPolicy)
 
 
 def test_round_robin_is_fifo_with_deque_surface():
-    q = make_policy(SchedSpec(), tile_id=0)
+    q = make_policy(SchedSpec())
     a, b, c = FakeAct("a"), FakeAct("b"), FakeAct("c")
     for act in (a, b, c):
         q.append(act)
@@ -69,13 +61,10 @@ def test_round_robin_is_fifo_with_deque_surface():
     q.remove(b)
     assert [q.popleft(), q.popleft()] == [a, c]
     assert not q
-    # the base policy never adapts
-    assert q.slice_ps(a, 777) == 777
-    assert q.on_preempt(a) is False and q.on_trap(a) is False
 
 
 def test_edf_picks_earliest_deadline_ties_and_blanks_fifo():
-    q = make_policy(SchedSpec(policy="edf"), tile_id=0)
+    q = make_policy(SchedSpec(policy="edf"))
     none1 = FakeAct("n1")
     late = FakeAct("late", deadline_ps=9_000)
     early = FakeAct("early", deadline_ps=1_000)
@@ -90,57 +79,11 @@ def test_edf_picks_earliest_deadline_ties_and_blanks_fifo():
 
 
 def test_edf_without_deadlines_degenerates_to_round_robin():
-    q = make_policy(SchedSpec(policy="edf"), tile_id=0)
+    q = make_policy(SchedSpec(policy="edf"))
     acts = [FakeAct(str(i)) for i in range(4)]
     for act in acts:
         q.append(act)
     assert [q.popleft() for _ in range(4)] == acts
-
-
-def test_lottery_is_seeded_and_proportional():
-    def draw_seq(spec, tile):
-        q = make_policy(spec, tile)
-        picks = []
-        for _ in range(50):
-            hog = FakeAct("hog", tickets=8)
-            starved = FakeAct("starved", tickets=1)
-            q.append(hog)
-            q.append(starved)
-            picks.append(q.popleft().name)
-            q.popleft()  # drain the loser
-        return picks
-
-    base = SchedSpec(policy="lottery", seed=7)
-    assert draw_seq(base, 3) == draw_seq(base, 3)          # reproducible
-    assert draw_seq(base, 3) != draw_seq(base, 4)          # tile-local
-    assert draw_seq(base, 3) != draw_seq(
-        SchedSpec(policy="lottery", seed=8), 3)            # seed-keyed
-    wins = draw_seq(base, 3).count("hog")
-    assert wins > 35, f"8:1 tickets won only {wins}/50 draws"
-
-
-def test_lottery_single_entry_skips_the_draw():
-    q = make_policy(SchedSpec(policy="lottery"), tile_id=0)
-    only = FakeAct("only")
-    q.append(only)
-    assert q.popleft() is only
-
-
-def test_autotune_slice_adapts_and_clamps():
-    spec = SchedSpec(policy="autotune", slice_min_us=100.0,
-                     slice_max_us=400.0)
-    q = make_policy(spec, tile_id=0)
-    act = FakeAct("a")
-    base = q.slice_ps(act, 200_000_000)       # 200 us seed
-    assert base == act.sched_slice_ps == 200_000_000
-    assert q.on_preempt(act) and act.sched_slice_ps == 400_000_000
-    assert not q.on_preempt(act)              # clamped at slice_max_us
-    for _ in range(3):
-        q.on_trap(act)
-    assert act.sched_slice_ps == 100_000_000  # clamped at slice_min_us
-    assert not q.on_trap(act)
-    # the adapted slice rides on the activity, not the tile
-    assert make_policy(spec, tile_id=5).slice_ps(act, 999) == 100_000_000
 
 
 # -- config plumbing ----------------------------------------------------------
@@ -173,19 +116,17 @@ def _pingpong_trace(sched):
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=3,
                                          n_mem_tiles=1, sched=sched))
         ctrl = plat.controller
-        env = {}
+        env = Board(plat.sim)
 
         def server(api):
-            while "rep" not in env:
-                yield api.sim.timeout(1_000_000)
+            yield from rendezvous(api, env, "rep")
             for _ in range(6):
                 msg = yield from api.recv(env["rep"])
                 yield from api.reply(env["rep"], msg, data=msg.data + 1,
                                      size=16)
 
         def client(api):
-            while "sep" not in env:
-                yield api.sim.timeout(1_000_000)
+            yield from rendezvous(api, env, "sep")
             for i in range(6):
                 v = yield from api.call(env["sep"], env["rpl"], data=i,
                                         size=16)
